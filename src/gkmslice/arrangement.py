@@ -119,6 +119,10 @@ def jd_slice(n: int, d: int, deg: tuple[int, int], method: str = "spanning") -> 
     solves the linearized order-d vanishing conditions instead (same
     subspace, independent pipeline).
     """
+    if n < 2:
+        raise ValueError(f"n must be at least 2 (one pair of points), got {n}")
+    if d < 0:
+        raise ValueError(f"power d must be >= 0, got {d}")
     if d == 0:
         return full_slice(n, deg)
     if method == "vanishing":
@@ -502,6 +506,8 @@ def root_ideal_slice(
 
 def _stabilize(compute: Callable[[int], SliceResult], margin0: int, tries: int = 4) -> SliceResult:
     """Increase the margin until one further step does not change the rank."""
+    if margin0 < 0:
+        raise ValueError(f"margin must be >= 0, got {margin0}")
     prev = compute(margin0)
     m = margin0
     for _ in range(tries):

@@ -3,9 +3,11 @@
 One executable, ten subcommands, machine-readable output. Exit codes:
 0 for PASS/complete, 1 for a verified identity mismatch, 2 for an
 inconclusive windowed computation (margin never stabilized), 64 for
-malformed usage. JSON output is canonical: sorted keys, two-space
-indent, rationals rendered "num/den". GKMSLICE_WORKERS caps the worker
-pool used for independent slice computations.
+malformed usage or an argument outside the library's domain (a
+ValueError), 70 for an internal error (any other exception; the
+traceback goes to stderr). JSON output is canonical: sorted keys,
+two-space indent, rationals rendered "num/den". GKMSLICE_WORKERS caps
+the worker pool used for independent slice computations.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import io
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 
 from . import arrangement, curves, gkm
@@ -26,6 +29,7 @@ EXIT_PASS = 0
 EXIT_MISMATCH = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 
 class UsageError(Exception):
@@ -567,9 +571,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         sys.stderr.write(f"gkmslice: error: {exc}\n")
         return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

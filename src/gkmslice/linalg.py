@@ -1,25 +1,32 @@
-"""Exact row reduction over Q and subspace operations on graded slices.
+"""Exact subspaces of Q^n on primitive integer rows.
 
 Vectors are sparse index->coefficient dicts over an ordered basis of
 hashable keys (monomial exponent tuples, or richer keys for module
-slices). A Subspace keeps its rows in reduced row echelon form at all
-times, so equal subspaces have identical representations and every
-operation is deterministic.
+slices). A Subspace stores each row as a primitive integer vector: the
+content gcd is 1, the pivot entry is positive, and the entry at every
+other row's pivot is 0. That is the reduced row echelon form scaled row
+by row, so equal subspaces have identical representations and every
+operation is deterministic. Elimination is fraction-free (cross-
+multiplication, then division by the content, as in Bareiss 1968); the
+only rationals are made at the boundary, where `rows` and `reduce`
+return the canonical RREF over Q.
 
-Intersections and kernels use the augmented-row trick: stack generators
-with identity tags, reduce on the original columns only, and read the
-relations off rows whose original part vanished.
+Kernels use the augmented-row trick: stack generators with identity
+tags, reduce with pivots on the original columns only, and read the
+relations off rows whose original part vanished. An intersection is the
+kernel of the remainders of one space's rows modulo the other.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Hashable, Iterable, Sequence
+from math import gcd, lcm
+from typing import Hashable, Iterable, Sequence
 
-from .rationals import ONE, ZERO
+from .rationals import rat
 from .rings import MultiPoly, Ring, monomial_key
 
-Row = dict  # int -> rational, nonzero entries only
+Row = dict  # int -> rational (or int inside Subspace), nonzero entries only
 
 
 class SliceBasis:
@@ -67,62 +74,115 @@ def basis_for_monomials(exps: Iterable[tuple]) -> SliceBasis:
     return SliceBasis(sorted(exps, key=monomial_key))
 
 
-def _axpy(dst: Row, src: Row, c) -> None:
-    """dst += c*src in place."""
-    for j, v in src.items():
-        s = dst.get(j, ZERO) + c * v
-        if s == 0:
-            dst.pop(j, None)
-        else:
-            dst[j] = s
+def _integer(vec: Row) -> tuple[Row, int]:
+    """(den * vec as an int vector, den): den is the lcm of the denominators."""
+    den = 1
+    for c in vec.values():
+        if c.denominator != 1:
+            den = lcm(den, int(c.denominator))
+    if den == 1:
+        return {j: int(c) for j, c in vec.items() if c}, 1
+    return {j: int(c.numerator) * (den // int(c.denominator)) for j, c in vec.items() if c}, den
+
+
+def _primitive(v: Row) -> Row:
+    g = gcd(*v.values())
+    return v if g == 1 else {j: c // g for j, c in v.items()}
 
 
 class Subspace:
-    """Row space in reduced row echelon form over a fixed column count."""
+    """Row space over Q, kept as primitive integer rows in scaled RREF."""
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[Row] = []  # sorted by pivot column
-        self.pivots: list[int] = []
+        self.pivots: list[int] = []  # sorted
+        self._rows: dict[int, Row] = {}  # pivot -> primitive integer row
+        self._q: list[Row] | None = None  # canonical Q rows, built on demand
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
+
+    @property
+    def rows(self) -> list[Row]:
+        """The canonical RREF over Q, sorted by pivot column."""
+        if self._q is None:
+            q = []
+            for p in self.pivots:
+                row = self._rows[p]
+                q.append({j: rat(c, row[p]) for j, c in row.items()})
+            self._q = q
+        return self._q
 
     def copy(self) -> "Subspace":
         out = Subspace(self.ncols)
-        out.rows = [dict(r) for r in self.rows]
         out.pivots = list(self.pivots)
+        out._rows = dict(self._rows)  # rows are replaced, never mutated
         return out
 
+    def _remainder(self, v: Row) -> tuple[Row, int]:
+        """(s * remainder of the integer vector v, s) for an integer s > 0.
+
+        A row is 0 at every other row's pivot, so only the rows whose
+        pivots lie in the support of v take part, each once. The
+        remainder is a fresh dict.
+        """
+        rows = self._rows
+        hits = [p for p in v if p in rows]
+        if not hits:
+            return dict(v), 1
+        scale = lcm(*[rows[p][p] for p in hits])
+        w = {j: scale * c for j, c in v.items()}
+        for p in hits:
+            row = rows[p]
+            f = scale // row[p] * v[p]
+            for j, c in row.items():
+                w[j] = w.get(j, 0) - f * c
+        return {j: c for j, c in w.items() if c}, scale
+
+    def _insert(self, v: Row, limit: int | None = None) -> Row | None:
+        """Reduce the integer vector v and add it as a row.
+
+        The pivot is the first column of the remainder below `limit` (any
+        column when None). Returns None when a row was added, else the
+        remainder times a positive integer (empty when v was in the span).
+        """
+        r, _ = self._remainder(v)
+        cols = r if limit is None else [j for j in r if j < limit]
+        if not cols:
+            return r
+        p = min(cols)
+        r = _primitive(r)
+        if r[p] < 0:
+            r = {j: -c for j, c in r.items()}
+        a = r[p]
+        rows = self._rows
+        at = bisect.bisect_left(self.pivots, p)
+        # a row holds no column left of its pivot
+        for q in [q for q in self.pivots[:at] if p in rows[q]]:
+            row = rows[q]
+            c = row[p]
+            new = {j: a * x for j, x in row.items()}
+            for j, x in r.items():
+                new[j] = new.get(j, 0) - c * x
+            rows[q] = _primitive({j: x for j, x in new.items() if x})
+        rows[p] = r
+        self.pivots.insert(at, p)
+        self._q = None
+        return None
+
     def reduce(self, vec: Row) -> Row:
-        """Remainder of vec modulo the row space (fresh dict)."""
-        v = dict(vec)
-        for p, row in zip(self.pivots, self.rows):
-            c = v.get(p)
-            if c is not None:
-                _axpy(v, row, -c)
-        return v
+        """Remainder of vec modulo the row space (fresh dict, exact over Q)."""
+        v, den = _integer(vec)
+        w, scale = self._remainder(v)
+        return {j: rat(c, den * scale) for j, c in w.items()}
 
     def contains(self, vec: Row) -> bool:
-        return not self.reduce(vec)
+        return not self._remainder(_integer(vec)[0])[0]
 
     def insert(self, vec: Row) -> bool:
         """Add one vector; True when the rank grew."""
-        v = self.reduce(vec)
-        if not v:
-            return False
-        p = min(v)
-        inv = ONE / v[p]
-        v = {j: c * inv for j, c in v.items()}
-        for row in self.rows:
-            c = row.get(p)
-            if c is not None:
-                _axpy(row, v, -c)
-        at = bisect.bisect_left(self.pivots, p)
-        self.pivots.insert(at, p)
-        self.rows.insert(at, v)
-        return True
+        return self._insert(_integer(vec)[0]) is None
 
     def extend(self, vectors: Iterable[Row]) -> None:
         for v in vectors:
@@ -133,7 +193,7 @@ class Subspace:
             isinstance(other, Subspace)
             and self.ncols == other.ncols
             and self.pivots == other.pivots
-            and self.rows == other.rows
+            and self._rows == other._rows
         )
 
 
@@ -147,93 +207,77 @@ def sum_subspaces(a: Subspace, b: Subspace) -> Subspace:
     if a.ncols != b.ncols:
         raise ValueError("column count mismatch")
     out = a.copy()
-    out.extend(b.rows)
+    for row in b._rows.values():
+        out._insert(row)
     return out
 
 
-def _tagged_elimination(groups: Sequence[Sequence[Row]], ncols: int) -> list[list[Row]]:
-    """Reduce stacked rows on the first ncols columns, identity-tagged.
+def _kernel(tagged: Iterable[Row], ncols: int, count: int) -> Subspace:
+    """Relations among `count` integer rows, the i-th tagged at ncols + i.
 
-    Returns, for each fully reduced stacked row whose original part became
-    zero, the tag split back into per-group coefficient vectors. Tags of
-    group g live at columns ncols + offset(g) + i.
+    Pivots stay on the first ncols columns; a row that reduces to 0 there
+    leaves the tags of one relation.
     """
-    offsets = []
-    total = 0
-    for g in groups:
-        offsets.append(total)
-        total += len(g)
-    work = Subspace(ncols + total)
-    null_tags: list[list[Row]] = []
-    for gi, g in enumerate(groups):
-        for i, row in enumerate(g):
-            v = dict(row)
-            v[ncols + offsets[gi] + i] = ONE
-            v = work.reduce(v)
-            left = {j for j in v if j < ncols}
-            if left:
-                # insert with pivot restricted to the original columns
-                p = min(left)
-                inv = ONE / v[p]
-                v = {j: c * inv for j, c in v.items()}
-                for row2 in work.rows:
-                    c = row2.get(p)
-                    if c is not None:
-                        _axpy(row2, v, -c)
-                at = bisect.bisect_left(work.pivots, p)
-                work.pivots.insert(at, p)
-                work.rows.insert(at, v)
-            else:
-                tags = []
-                for off, grp in zip(offsets, groups):
-                    tags.append(
-                        {
-                            j - ncols - off: c
-                            for j, c in v.items()
-                            if off <= j - ncols < off + len(grp)
-                        }
-                    )
-                null_tags.append(tags)
-    return null_tags
+    work = Subspace(ncols + count)
+    out = Subspace(count)
+    for v in tagged:
+        tags = work._insert(v, ncols)
+        if tags:
+            out._insert({j - ncols: c for j, c in tags.items()})
+    return out
 
 
 def intersect_subspaces(a: Subspace, b: Subspace) -> Subspace:
-    """A cap B via relations u*A + v*B = 0."""
+    """A cap B: sum v_j B_j lies in A iff sum v_j rem_j = 0.
+
+    rem_j is the remainder of the j-th row of B modulo A, one pass each
+    since A is reduced. The larger space plays A. B is reduced and the
+    combination sum v_j B_j has entry v_j * B_j[p_j] at the pivot p_j of
+    B_j, so the reduced relations map to the scaled RREF of the result.
+    """
     if a.ncols != b.ncols:
         raise ValueError("column count mismatch")
-    out = Subspace(a.ncols)
-    for tags in _tagged_elimination([a.rows, b.rows], a.ncols):
-        u = tags[0]
+    if a.rank < b.rank:
+        a, b = b, a
+    ncols = a.ncols
+    brows = [b._rows[p] for p in b.pivots]
+
+    def tagged():
+        for i, row in enumerate(brows):
+            rem, scale = a._remainder(row)
+            rem[ncols + i] = scale
+            yield rem
+
+    rel = _kernel(tagged(), ncols, len(brows))
+    out = Subspace(ncols)
+    for q in rel.pivots:
         elem: Row = {}
-        for i, c in u.items():
-            _axpy(elem, a.rows[i], c)
-        if elem:
-            out.insert(elem)
+        for j, c in rel._rows[q].items():
+            for k, x in brows[j].items():
+                elem[k] = elem.get(k, 0) + c * x
+        out.pivots.append(b.pivots[q])
+        out._rows[b.pivots[q]] = _primitive({k: x for k, x in elem.items() if x})
     return out
-
-
-def intersect_many(subspaces: Sequence[Subspace]) -> Subspace:
-    if not subspaces:
-        raise ValueError("nothing to intersect")
-    acc = subspaces[0].copy()
-    for s in subspaces[1:]:
-        acc = intersect_subspaces(acc, s)
-    return acc
 
 
 def kernel_of_rows(rows: Sequence[Row], ncols: int) -> Subspace:
     """Kernel of u -> sum u_i rows_i, as a subspace of Q^len(rows)."""
-    out = Subspace(len(rows))
-    for tags in _tagged_elimination([rows], ncols):
-        out.insert(tags[0])
-    return out
+
+    def tagged():
+        for i, row in enumerate(rows):
+            v, den = _integer(row)
+            v[ncols + i] = den
+            yield v
+
+    return _kernel(tagged(), ncols, len(rows))
 
 
 def restrict_to_columns(sub: Subspace, keep: Sequence[int]) -> Subspace:
     """Subspace of vectors in `sub` supported on `keep`, reindexed to keep.
 
     Reduction is redone with the complementary columns ordered first, so
-    rows pivoting inside the keep block have zero support outside it.
+    rows pivoting inside the keep block have zero support outside it;
+    those rows are already the scaled RREF of the result.
     """
     keep_set = set(keep)
     drop = [j for j in range(sub.ncols) if j not in keep_set]
@@ -242,31 +286,15 @@ def restrict_to_columns(sub: Subspace, keep: Sequence[int]) -> Subspace:
     for i, j in enumerate(keep):
         order[j] = base + i
     perm = Subspace(sub.ncols)
-    for row in sub.rows:
-        perm.insert({order[j]: c for j, c in row.items()})
+    for row in sub._rows.values():
+        perm._insert({order[j]: c for j, c in row.items()})
     out = Subspace(len(keep))
-    for p, row in zip(perm.pivots, perm.rows):
+    for p in perm.pivots:
         if p >= base:
-            out.insert({j - base: c for j, c in row.items()})
+            out.pivots.append(p - base)
+            out._rows[p - base] = {j - base: c for j, c in perm._rows[p].items()}
     return out
 
 
 def rank_of(vectors: Iterable[Row], ncols: int) -> int:
     return span(vectors, ncols).rank
-
-
-def linear_map_rows(
-    domain: SliceBasis, codomain: SliceBasis, image: Callable[[Hashable], dict]
-) -> list[Row]:
-    """Matrix rows of a linear map given on basis keys.
-
-    `image(key)` returns a codomain key->coefficient dict.
-    """
-    return [codomain.vector(image(k)) for k in domain.keys]
-
-
-def kernel_of_map(
-    domain: SliceBasis, codomain: SliceBasis, image: Callable[[Hashable], dict]
-) -> Subspace:
-    rows = linear_map_rows(domain, codomain, image)
-    return kernel_of_rows(rows, len(codomain))

@@ -1,10 +1,11 @@
 """Exact rational scalars.
 
 All arithmetic in this package is over Q; nothing here ever touches a float.
-gmpy2.mpq is used when importable (C-backed, much faster inside row
-reduction); fractions.Fraction is a drop-in fallback with identical
-semantics. Both keep values in lowest terms with positive denominator,
-which the serialization layer relies on.
+gmpy2.mpq is used when importable (the optional `gmpy2` extra; C-backed,
+faster in polynomial and series arithmetic); fractions.Fraction is a
+drop-in fallback with identical semantics. Both keep values in lowest
+terms with positive denominator, which the serialization layer relies
+on. Row reduction itself runs on plain integers (see linalg).
 """
 
 from __future__ import annotations

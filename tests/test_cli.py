@@ -180,3 +180,34 @@ def test_gkm_verify_flag_constant(capsys):
     )
     assert code == 0
     assert json.loads(out)["status"] == "PASS"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jd-series", "--n", "1"],
+        ["jd-series", "--n", "0"],
+        ["catalan", "--n", "1"],
+        ["flag-rank1", "--margin", "-3"],
+        ["jd-series", "--n", "2", "--d", "-1"],
+    ],
+    ids=["jd-n1", "jd-n0", "catalan-n1", "flag-negative-margin", "jd-negative-d"],
+)
+def test_out_of_domain_arguments_exit_64(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert captured.err.startswith("gkmslice: error: ")
+
+
+def test_internal_error_exits_70_with_traceback(capsys, monkeypatch):
+    def broken(n, method="spanning"):
+        raise RuntimeError("broken handler")
+
+    monkeypatch.setattr(cli.arrangement, "catalan_quotient", broken)
+    code = cli.main(["catalan", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 70
+    assert "Traceback" in captured.err
+    assert "RuntimeError: broken handler" in captured.err

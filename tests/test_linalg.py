@@ -1,5 +1,7 @@
 """Sparse row reduction, intersections, kernels, column restriction."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +16,7 @@ from gkmslice.linalg import (
     span,
     sum_subspaces,
 )
-from gkmslice.rationals import rat
+from gkmslice.rationals import ZERO, rat, rat_parts
 from gkmslice.rings import MultiPoly, ring
 
 NCOLS = 5
@@ -106,3 +108,131 @@ def test_strict_vector_raises_outside_basis():
     basis = SliceBasis([(0, 0)])
     with pytest.raises(KeyError):
         basis.vector_from_poly(MultiPoly.gen(rg, "x"))
+
+
+# ---- cross-check of the integer engine against a dense Fraction RREF ----
+
+
+def ref_rref(vectors, ncols):
+    """Gauss-Jordan over Fraction on dense rows: (rows, pivots)."""
+    rows = []
+    pivots = []
+    for vec in vectors:
+        v = [Fraction(0)] * ncols
+        for j, c in vec.items():
+            v[j] = Fraction(c)
+        for p, row in zip(pivots, rows):
+            if v[p]:
+                f = v[p]
+                v = [a - f * b for a, b in zip(v, row)]
+        lead = next((j for j in range(ncols) if v[j]), None)
+        if lead is None:
+            continue
+        v = [a / v[lead] for a in v]
+        rows = [[a - r[lead] * b for a, b in zip(r, v)] for r in rows]
+        at = sum(1 for p in pivots if p < lead)
+        rows.insert(at, v)
+        pivots.insert(at, lead)
+    return rows, pivots
+
+
+def ref_sparse(rows):
+    return [{j: c for j, c in enumerate(row) if c} for row in rows]
+
+
+def ref_nullspace(vectors, ncols):
+    """Basis of {x : r.x = 0 for every r}, as sparse rows."""
+    rows, pivots = ref_rref(vectors, ncols)
+    out = []
+    for free in (j for j in range(ncols) if j not in pivots):
+        x = {free: Fraction(1)}
+        for p, row in zip(pivots, rows):
+            if row[free]:
+                x[p] = -row[free]
+        out.append(x)
+    return out
+
+
+def ref_intersection(va, vb, ncols):
+    perp = ref_nullspace(va, ncols) + ref_nullspace(vb, ncols)
+    return ref_nullspace(perp, ncols)
+
+
+def as_fractions(rows):
+    return [{j: Fraction(*rat_parts(c)) for j, c in row.items()} for row in rows]
+
+
+def is_backend_rational(rows):
+    return all(type(c) is type(ZERO) for row in rows for c in row.values())
+
+
+rational = st.builds(rat, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=4))
+
+
+@st.composite
+def rational_families(draw, count=1):
+    ncols = draw(st.integers(min_value=5, max_value=7))
+    vec = st.lists(rational, min_size=ncols, max_size=ncols).map(
+        lambda vals: {i: c for i, c in enumerate(vals) if c}
+    )
+    return ncols, [draw(st.lists(vec, max_size=6)) for _ in range(count)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_families(), st.lists(rational, min_size=7, max_size=7))
+def test_span_and_reduce_match_fraction_reference(family, extra):
+    ncols, (vecs,) = family
+    s = span(vecs, ncols)
+    rows, pivots = ref_rref(vecs, ncols)
+    assert as_fractions(s.rows) == ref_sparse(rows)
+    assert s.pivots == pivots
+    assert is_backend_rational(s.rows)
+    probe = {j: c for j, c in enumerate(extra[:ncols]) if c}
+    rem = dict(probe)
+    for p, row in zip(pivots, rows):
+        f = rem.get(p, 0)
+        for j, c in enumerate(row):
+            rem[j] = rem.get(j, 0) - f * c
+    got = s.reduce(probe)
+    assert as_fractions([got]) == [{j: Fraction(c) for j, c in rem.items() if c}]
+    assert is_backend_rational([got])
+    # the cached canonical rows follow a further insert
+    s.insert(probe)
+    rows, pivots = ref_rref(vecs + [probe], ncols)
+    assert as_fractions(s.rows) == ref_sparse(rows)
+    assert s.pivots == pivots
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_families(count=2))
+def test_intersection_matches_fraction_reference(family):
+    ncols, (va, vb) = family
+    meet = intersect_subspaces(span(va, ncols), span(vb, ncols))
+    rows, _ = ref_rref(ref_intersection(va, vb, ncols), ncols)
+    assert as_fractions(meet.rows) == ref_sparse(rows)
+    assert is_backend_rational(meet.rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_families())
+def test_kernel_matches_fraction_reference(family):
+    ncols, (vecs,) = family
+    kern = kernel_of_rows(vecs, ncols)
+    columns = [{i: v[j] for i, v in enumerate(vecs) if j in v} for j in range(ncols)]
+    rows, _ = ref_rref(ref_nullspace(columns, len(vecs)), len(vecs))
+    assert kern.ncols == len(vecs)
+    assert as_fractions(kern.rows) == ref_sparse(rows)
+    assert is_backend_rational(kern.rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_families(), st.data())
+def test_restriction_matches_fraction_reference(family, data):
+    ncols, (vecs,) = family
+    keep = data.draw(st.permutations(range(ncols)))[: data.draw(st.integers(0, ncols))]
+    restricted = restrict_to_columns(span(vecs, ncols), keep)
+    coords = [{j: Fraction(1)} for j in keep]
+    inside = ref_intersection(vecs, coords, ncols)
+    rows, _ = ref_rref([{i: v[j] for i, j in enumerate(keep) if j in v} for v in inside], len(keep))
+    assert as_fractions(restricted.rows) == ref_sparse(rows)
+    assert is_backend_rational(restricted.rows)
