@@ -7,12 +7,16 @@ products, the sign-isotypic quotient table, and the regular sequence
 check for the y variables.
 
 Lattice side: the group algebra Q[Lambda] tensor Q[y] (x variables
-Laurent) with per-root ideals (y_alpha, 1 - x^coroot)^d, a doubly
-Laurent K-theory variant, the homology quotient by derivation kernels,
-and the rank-one affine flag module. Windowed slices are computed by
-spanning generators over a margin-enlarged box and then cutting back to
-vectors supported inside the window; ranks are monotone in the margin
-and results carry a stabilization status.
+Laurent) with per-root ideals (y_alpha, 1 - x^coroot)^d, the homology
+quotient by derivation kernels, and the rank-one affine flag module.
+Windowed slices are computed by spanning generators over a
+margin-enlarged box and then cutting back to vectors supported inside
+the window; ranks are monotone in the margin and results carry a
+stabilization status.
+
+Every slice spanned by generators goes through `_generated_slice`: each
+generator times the monomials of the remaining degree, mapped into an
+ambient basis and, for windowed slices, cut back to the window.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .gkm import y_names
 from .linalg import (
+    Row,
     SliceBasis,
     Subspace,
     basis_for_monomials,
@@ -29,9 +35,8 @@ from .linalg import (
     kernel_of_rows,
     restrict_to_columns,
     span,
-    sum_subspaces,
 )
-from .rationals import ONE, ZERO, rat
+from .rationals import ONE, ZERO
 from .rings import Exp, Grading, MultiPoly, Ring, grading_for, ring, slice_monomials
 from .rootdata import RootDatum, mat_vec, weyl_elements
 
@@ -49,10 +54,6 @@ def xy_grading(n: int, convention: str = "algebraic") -> Grading:
         table[f"x{i+1}"] = (1, 0)
         table[f"y{i+1}"] = (0, 1) if convention == "algebraic" else (1, 2)
     return grading_for(xy_ring(n), table)
-
-
-def _gens(rg: Ring, names: Iterable[str]) -> list[MultiPoly]:
-    return [MultiPoly.gen(rg, n) for n in names]
 
 
 @dataclass
@@ -77,6 +78,67 @@ class SliceResult:
         return vec is not None and self.space.contains(vec)
 
 
+# ---- slices spanned by generators ----
+
+
+def _generated_slice(
+    rg: Ring,
+    grading: Grading,
+    deg: tuple[int, int],
+    ambient: SliceBasis,
+    generators: Iterable[tuple[MultiPoly, tuple[int, int]]],
+    gen_window: Mapping | None = None,
+    window_keys: Sequence | None = None,
+) -> SliceResult:
+    """Span of generator * monomial at degree deg, over the ambient basis.
+
+    Each generator comes with its degree and is multiplied by every
+    monomial of the remaining degree (inside gen_window when given).
+    Without a window every product must lie in the ambient basis. With
+    one, products leaving it are dropped and the span is cut back to the
+    vectors supported on window_keys.
+    """
+    multipliers: dict[tuple[int, int], list[Exp]] = {}  # generators often share a degree
+
+    def rows():
+        for gen, gdeg in generators:
+            rem = (deg[0] - gdeg[0], deg[1] - gdeg[1])
+            if rem[0] < 0 or rem[1] < 0:
+                continue
+            if rem not in multipliers:
+                multipliers[rem] = slice_monomials(rg, grading, rem, gen_window)
+            for m in multipliers[rem]:
+                vec = ambient.vector_from_poly(
+                    gen * MultiPoly.monomial(rg, m), strict=gen_window is None
+                )
+                if vec is not None:
+                    yield vec
+
+    if window_keys is None:
+        return SliceResult(ambient, span(rows(), len(ambient)), rg)
+    space, basis = _restricted(rows(), ambient, window_keys)
+    return SliceResult(basis, space, rg)
+
+
+def _intersect_all(spaces: Sequence[Subspace]) -> Subspace:
+    out = spaces[0]
+    for space in spaces[1:]:
+        out = intersect_subspaces(out, space)
+    return out
+
+
+def _shift_rows(src: SliceResult, dst: SliceResult, var: str) -> Iterable[Row]:
+    """The rows of src times one variable, as vectors over dst's basis."""
+    vi = src.ring.index(var)
+    for row in src.space.rows:
+        shifted = {}
+        for col, c in row.items():
+            exp = list(src.basis.keys[col])
+            exp[vi] += 1
+            shifted[dst.basis.index[tuple(exp)]] = c
+        yield shifted
+
+
 # ---- pair ideals and their intersection (polynomial, graded) ----
 
 
@@ -90,26 +152,15 @@ def pair_ideal_slice(n: int, pair: tuple[int, int], d: int, deg: tuple[int, int]
     xi, xj = MultiPoly.gen(rg, f"x{i}"), MultiPoly.gen(rg, f"x{j}")
     yi, yj = MultiPoly.gen(rg, f"y{i}"), MultiPoly.gen(rg, f"y{j}")
     basis = basis_for_monomials(slice_monomials(rg, grading, deg))
-    space = Subspace(len(basis))
-    for e in range(d + 1):
-        gen = (xi - xj) ** e * (yi - yj) ** (d - e)
-        gdeg = (e, d - e)
-        rem = (deg[0] - gdeg[0], deg[1] - gdeg[1])
-        if rem[0] < 0 or rem[1] < 0:
-            continue
-        for m in slice_monomials(rg, grading, rem):
-            vec = basis.vector_from_poly(gen * MultiPoly.monomial(rg, m))
-            space.insert(vec)
-    return SliceResult(basis, space, rg)
+    generators = [((xi - xj) ** e * (yi - yj) ** (d - e), (e, d - e)) for e in range(d + 1)]
+    return _generated_slice(rg, grading, deg, basis, generators)
 
 
 def full_slice(n: int, deg: tuple[int, int]) -> SliceResult:
     rg = xy_ring(n)
-    basis = basis_for_monomials(slice_monomials(rg, xy_grading(n), deg))
-    space = Subspace(len(basis))
-    for idx in range(len(basis)):
-        space.insert({idx: ONE})
-    return SliceResult(basis, space, rg)
+    grading = xy_grading(n)
+    basis = basis_for_monomials(slice_monomials(rg, grading, deg))
+    return _generated_slice(rg, grading, deg, basis, [(MultiPoly.one(rg), (0, 0))])
 
 
 def jd_slice(n: int, d: int, deg: tuple[int, int], method: str = "spanning") -> SliceResult:
@@ -133,9 +184,7 @@ def jd_slice(n: int, d: int, deg: tuple[int, int], method: str = "spanning") -> 
         pair_ideal_slice(n, (i, j), d, deg)
         for i, j in itertools.combinations(range(1, n + 1), 2)
     ]
-    space = parts[0].space
-    for part in parts[1:]:
-        space = intersect_subspaces(space, part.space)
+    space = _intersect_all([part.space for part in parts])
     return SliceResult(parts[0].basis, space, parts[0].ring)
 
 
@@ -253,32 +302,35 @@ def alternant_basis(n: int, deg: tuple[int, int]) -> list[MultiPoly]:
 
 
 def alternant_slice(n: int, d: int, deg: tuple[int, int]) -> SliceResult:
-    """Span of (product of d alternants) * monomial at one bidegree."""
+    """Span of (product of d alternants) * monomial at one bidegree.
+
+    A d-fold combination whose summed bidegree exceeds deg is skipped
+    before its product is formed.
+    """
+    if d == 0:
+        return full_slice(n, deg)
     rg = xy_ring(n)
     grading = xy_grading(n)
     basis = basis_for_monomials(slice_monomials(rg, grading, deg))
-    space = Subspace(len(basis))
-    if d == 0:
-        return full_slice(n, deg)
-    pool: list[MultiPoly] = []
-    for a in range(deg[0] + 1):
-        for b in range(deg[1] + 1):
-            if a == 0 and b == 0:
+    pool = [
+        (p, (a, b))
+        for a in range(deg[0] + 1)
+        for b in range(deg[1] + 1)
+        if (a, b) != (0, 0)
+        for p in alternant_basis(n, (a, b))
+    ]
+
+    def products():
+        for combo in itertools.combinations_with_replacement(pool, d):
+            pdeg = (sum(g[1][0] for g in combo), sum(g[1][1] for g in combo))
+            if pdeg[0] > deg[0] or pdeg[1] > deg[1]:
                 continue
-            pool.extend(alternant_basis(n, (a, b)))
-    for combo in itertools.combinations_with_replacement(range(len(pool)), d):
-        prod = MultiPoly.one(rg)
-        for idx in combo:
-            prod = prod * pool[idx]
-        pdeg = grading.poly_degree(prod)
-        if prod.is_zero() or pdeg is None:
-            continue
-        rem = (deg[0] - pdeg[0], deg[1] - pdeg[1])
-        if rem[0] < 0 or rem[1] < 0:
-            continue
-        for m in slice_monomials(rg, grading, rem):
-            space.insert(basis.vector_from_poly(prod * MultiPoly.monomial(rg, m)))
-    return SliceResult(basis, space, rg)
+            prod = combo[0][0]
+            for p, _ in combo[1:]:
+                prod = prod * p
+            yield prod, pdeg
+
+    return _generated_slice(rg, grading, deg, basis, products())
 
 
 # ---- sign-isotypic quotient table (Catalan numbers) ----
@@ -316,14 +368,7 @@ def catalan_quotient(n: int, method: str = "spanning") -> CatalanReport:
                 continue
             prev = slices[(pa, pb)]
             for i in range(n):
-                var = cur.ring.index(f"{gen_name}{i+1}")
-                for row in prev.space.rows:
-                    shifted = {}
-                    for col, c in row.items():
-                        exp = list(prev.basis.keys[col])
-                        exp[var] += 1
-                        shifted[cur.basis.index[tuple(exp)]] = c
-                    sub.insert(shifted)
+                sub.extend(_shift_rows(prev, cur, f"{gen_name}{i+1}"))
                 if sub.rank == cur.rank:
                     break
             if sub.rank == cur.rank:
@@ -370,23 +415,12 @@ def freeness_check(n: int, d: int, max_total: int, method: str = "spanning") -> 
     map 'multiply by y_k' on J/(y_1..y_{k-1})J must be injective on every
     bidegree (a, b) with a + b <= max_total.
     """
-    rg = xy_ring(n)
+    if max_total < 0:
+        raise ValueError(f"max_total must be >= 0, got {max_total}")
     slices: dict[tuple[int, int], SliceResult] = {}
     for a in range(max_total + 2):
         for b in range(max_total + 2 - a):
             slices[(a, b)] = jd_slice(n, d, (a, b), method=method)
-
-    def shift_rows(src: SliceResult, dst: SliceResult, var: str) -> list[dict]:
-        vi = rg.index(var)
-        out = []
-        for row in src.space.rows:
-            shifted = {}
-            for col, c in row.items():
-                exp = list(src.basis.keys[col])
-                exp[vi] += 1
-                shifted[dst.basis.index[tuple(exp)]] = c
-            out.append(shifted)
-        return out
 
     def rel_space(k: int, a: int, b: int) -> Subspace:
         """Span of y_1..y_k times the slice one y-degree down, inside (a, b)."""
@@ -395,8 +429,7 @@ def freeness_check(n: int, d: int, max_total: int, method: str = "spanning") -> 
         if b >= 1 and k >= 1:
             src = slices[(a, b - 1)]
             for i in range(1, k + 1):
-                for row in shift_rows(src, dst, f"y{i}"):
-                    out.insert(row)
+                out.extend(_shift_rows(src, dst, f"y{i}"))
         return out
 
     report = FreenessReport(n=n, d=d, max_total=max_total, ok=True)
@@ -408,8 +441,7 @@ def freeness_check(n: int, d: int, max_total: int, method: str = "spanning") -> 
                 rel_here = rel_space(k - 1, a, b)
                 rel_next = rel_space(k - 1, a, b + 1)
                 image_plus = rel_next.copy()
-                for row in shift_rows(here, nxt, f"y{k}"):
-                    image_plus.insert(row)
+                image_plus.extend(_shift_rows(here, nxt, f"y{k}"))
                 report.stages_checked += 1
                 if not stage_injective(
                     here.rank, rel_here.rank, image_plus.rank, rel_next.rank
@@ -422,31 +454,38 @@ def freeness_check(n: int, d: int, max_total: int, method: str = "spanning") -> 
 # ---- windowed slices over the cocharacter lattice ----
 
 
-def lattice_ring(rd: RootDatum, y_laurent: bool = False) -> Ring:
+def lattice_ring(rd: RootDatum) -> Ring:
     xnames = [f"x{i+1}" for i in range(rd.rank)]
-    ynames = ["y"] if rd.yrank == 1 else [f"y{i+1}" for i in range(rd.yrank)]
-    laurent = list(xnames) + (list(ynames) if y_laurent else [])
-    return ring(xnames + ynames, laurent=laurent)
+    return ring(xnames + y_names(rd.yrank), laurent=xnames)
 
 
 def lattice_grading(rd: RootDatum, rg: Ring) -> Grading:
-    ynames = ["y"] if rd.yrank == 1 else [f"y{i+1}" for i in range(rd.yrank)]
-    return grading_for(rg, {n: (1, 0) for n in ynames})
+    return grading_for(rg, {n: (1, 0) for n in y_names(rd.yrank)})
 
 
 def _enlarged(bounds: Sequence[tuple[int, int]], amount: int) -> list[tuple[int, int]]:
     return [(lo - amount, hi + amount) for lo, hi in bounds]
 
 
-def _coroot_reach(rd: RootDatum) -> int:
-    return max((max(abs(c) for c in cor) for cor in rd.coroots), default=1)
+def _window_dict(bounds: Sequence[tuple[int, int]]) -> dict:
+    return {f"x{i+1}": tuple(b) for i, b in enumerate(bounds)}
 
 
-def _window_dict(rg: Ring, bounds: Sequence[tuple[int, int]], extra: Mapping | None = None) -> dict:
-    win = {f"x{i+1}": tuple(b) for i, b in enumerate(bounds)}
-    if extra:
-        win.update(extra)
-    return win
+def _margin_box(
+    rd: RootDatum,
+    rg: Ring,
+    grading: Grading,
+    ydeg: int,
+    bounds: Sequence[tuple[int, int]],
+    d: int,
+    margin: int,
+) -> tuple[SliceBasis, dict]:
+    """Ambient basis over the window enlarged by (margin + d) coroot
+    reaches, and the generator window enlarged by margin reaches."""
+    reach = max((max(abs(c) for c in cor) for cor in rd.coroots), default=1)
+    big = _window_dict(_enlarged(bounds, (margin + d) * reach))
+    ambient = basis_for_monomials(slice_monomials(rg, grading, (ydeg, 0), big))
+    return ambient, _window_dict(_enlarged(bounds, margin * reach))
 
 
 def coroot_monomial(rd: RootDatum, rg: Ring, root_index: int) -> MultiPoly:
@@ -470,40 +509,6 @@ def _restricted(
     return small, SliceBasis(window_keys)
 
 
-def root_ideal_slice(
-    rd: RootDatum,
-    root_index: int,
-    d: int,
-    ydeg: int,
-    bounds: Sequence[tuple[int, int]],
-    margin: int,
-) -> SliceResult:
-    """Windowed y-degree slice of (y_alpha, 1 - x^coroot)^d for one root."""
-    rg = lattice_ring(rd)
-    grading = lattice_grading(rd, rg)
-    ynames = ["y"] if rd.yrank == 1 else [f"y{i+1}" for i in range(rd.yrank)]
-    reach = _coroot_reach(rd)
-    big_bounds = _enlarged(bounds, (margin + d) * reach)
-    gen_bounds = _enlarged(bounds, margin * reach)
-    ambient = basis_for_monomials(
-        slice_monomials(rg, grading, (ydeg, 0), _window_dict(rg, big_bounds))
-    )
-    window_keys = slice_monomials(rg, grading, (ydeg, 0), _window_dict(rg, bounds))
-    y_alpha = rd.root_form(rg, root_index, ynames)
-    one_minus = MultiPoly.one(rg) - coroot_monomial(rd, rg, root_index)
-    rows = []
-    for e in range(d + 1):
-        if e > ydeg:
-            continue
-        gen = y_alpha**e * one_minus ** (d - e)
-        for m in slice_monomials(rg, grading, (ydeg - e, 0), _window_dict(rg, gen_bounds)):
-            vec = ambient.vector_from_poly(gen * MultiPoly.monomial(rg, m), strict=False)
-            if vec is not None:
-                rows.append(vec)
-    space, basis = _restricted(rows, ambient, window_keys)
-    return SliceResult(basis, space, rg, status="stabilized", margin=margin)
-
-
 def _stabilize(compute: Callable[[int], SliceResult], margin0: int, tries: int = 4) -> SliceResult:
     """Increase the margin until one further step does not change the rank."""
     if margin0 < 0:
@@ -522,6 +527,13 @@ def _stabilize(compute: Callable[[int], SliceResult], margin0: int, tries: int =
     return prev
 
 
+def _check_lattice_degrees(d: int, ydeg: int) -> None:
+    if d < 0:
+        raise ValueError(f"power d must be >= 0, got {d}")
+    if ydeg < 0:
+        raise ValueError(f"y-degree must be >= 0, got {ydeg}")
+
+
 def jd_root_slice(
     rd: RootDatum,
     d: int,
@@ -532,84 +544,27 @@ def jd_root_slice(
     """Windowed slice of the intersection over roots of (y_alpha, 1-x^coroot)^d."""
     if rd.npos == 0:
         raise ValueError("root datum has no positive roots")
+    _check_lattice_degrees(d, ydeg)
+    rg = lattice_ring(rd)
+    grading = lattice_grading(rd, rg)
     margin0 = 2 * d if margin is None else margin
+    window_keys = slice_monomials(rg, grading, (ydeg, 0), _window_dict(bounds))
+    one = MultiPoly.one(rg)
+    per_root = []
+    for i in range(rd.npos):
+        y_alpha = rd.root_form(rg, i, y_names(rd.yrank))
+        one_minus = one - coroot_monomial(rd, rg, i)
+        per_root.append(
+            [(y_alpha**e * one_minus ** (d - e), (e, 0)) for e in range(min(d, ydeg) + 1)]
+        )
 
     def compute(m: int) -> SliceResult:
+        ambient, gen_window = _margin_box(rd, rg, grading, ydeg, bounds, d, m)
         parts = [
-            root_ideal_slice(rd, i, d, ydeg, bounds, m) for i in range(rd.npos)
+            _generated_slice(rg, grading, (ydeg, 0), ambient, gens, gen_window, window_keys)
+            for gens in per_root
         ]
-        space = parts[0].space
-        for part in parts[1:]:
-            space = intersect_subspaces(space, part.space)
-        return SliceResult(parts[0].basis, space, parts[0].ring, margin=m)
-
-    return _stabilize(compute, margin0)
-
-
-def ktheory_ideal_slice(
-    rd: RootDatum,
-    root_index: int,
-    d: int,
-    xbounds: Sequence[tuple[int, int]],
-    ybounds: Sequence[tuple[int, int]],
-    margin: int,
-) -> SliceResult:
-    """Box slice of (1 - y^alpha, 1 - x^coroot)^d, both sides Laurent."""
-    rg = lattice_ring(rd, y_laurent=True)
-    ynames = ["y"] if rd.yrank == 1 else [f"y{i+1}" for i in range(rd.yrank)]
-    reach = _coroot_reach(rd)
-    yreach = max(max(abs(c) for c in r) for r in rd.roots)
-    window = _window_dict(rg, xbounds, {n: tuple(b) for n, b in zip(ynames, ybounds)})
-    big = _window_dict(
-        rg,
-        _enlarged(xbounds, (margin + d) * reach),
-        {
-            n: tuple(b)
-            for n, b in zip(ynames, _enlarged(ybounds, (margin + d) * yreach))
-        },
-    )
-    gen_win = _window_dict(
-        rg,
-        _enlarged(xbounds, margin * reach),
-        {n: tuple(b) for n, b in zip(ynames, _enlarged(ybounds, margin * yreach))},
-    )
-    ambient = basis_for_monomials(slice_monomials(rg, None, None, big))
-    window_keys = slice_monomials(rg, None, None, window)
-    alpha = rd.roots[root_index]
-    yexp = [0] * rg.nvars
-    for i, c in enumerate(alpha):
-        yexp[rg.index(ynames[i])] = c
-    one_minus_y = MultiPoly.one(rg) - MultiPoly.monomial(rg, tuple(yexp))
-    one_minus_x = MultiPoly.one(rg) - coroot_monomial(rd, rg, root_index)
-    rows = []
-    for e in range(d + 1):
-        gen = one_minus_y**e * one_minus_x ** (d - e)
-        for m in slice_monomials(rg, None, None, gen_win):
-            vec = ambient.vector_from_poly(gen * MultiPoly.monomial(rg, m), strict=False)
-            if vec is not None:
-                rows.append(vec)
-    space, basis = _restricted(rows, ambient, window_keys)
-    return SliceResult(basis, space, rg, status="stabilized", margin=margin)
-
-
-def jd_ktheory_slice(
-    rd: RootDatum,
-    d: int,
-    xbounds: Sequence[tuple[int, int]],
-    ybounds: Sequence[tuple[int, int]],
-    margin: int | None = None,
-) -> SliceResult:
-    margin0 = 2 * d if margin is None else margin
-
-    def compute(m: int) -> SliceResult:
-        parts = [
-            ktheory_ideal_slice(rd, i, d, xbounds, ybounds, m)
-            for i in range(rd.npos)
-        ]
-        space = parts[0].space
-        for part in parts[1:]:
-            space = intersect_subspaces(space, part.space)
-        return SliceResult(parts[0].basis, space, parts[0].ring, margin=m)
+        return SliceResult(parts[0].basis, _intersect_all([p.space for p in parts]), rg)
 
     return _stabilize(compute, margin0)
 
@@ -617,37 +572,36 @@ def jd_ktheory_slice(
 # ---- homology quotient by derivation kernels ----
 
 
-def _derivation_kernel(rd: RootDatum, rg: Ring, root_index: int, k: int, ydeg: int) -> list[MultiPoly]:
-    """Basis of ker(d_alpha^k) on degree-ydeg polynomials in y.
+def _derivation_kernel(
+    rg: Ring, ynames: Sequence[str], coeffs: Mapping[str, int], k: int, ydeg: int
+) -> list[MultiPoly]:
+    """Basis of ker(D^k) on the degree-ydeg polynomials in ynames.
 
-    d_alpha differentiates along the coroot: sum_i <basis_root_i, coroot>
-    partial_{y_i}.
+    D = sum of coeffs[name] * d/d(name); every other variable has
+    exponent 0 in the domain.
     """
-    ynames = ["y"] if rd.yrank == 1 else [f"y{i+1}" for i in range(rd.yrank)]
-    coeffs = [rd.pair_coroot(tuple(1 if a == i else 0 for a in range(rd.yrank)), rd.coroots[root_index]) for i in range(rd.yrank)]
-
-    def d_alpha(p: MultiPoly) -> MultiPoly:
-        out = MultiPoly.zero(rg)
-        for c, nm in zip(coeffs, ynames):
-            if c:
-                out = out + p.derivative(nm) * c
-        return out
-
     ygrading = grading_for(rg, {n: (1, 0) for n in ynames})
-    pin_x = {f"x{i+1}": (0, 0) for i in range(rd.rank)}
-    dom_keys = slice_monomials(rg, ygrading, (ydeg, 0), pin_x)
-    domain = SliceBasis(dom_keys)
+    pin = {n: (0, 0) for n in rg.names if n not in ynames}
+    dom_keys = slice_monomials(rg, ygrading, (ydeg, 0), pin)
     if ydeg < k:
         return [MultiPoly.monomial(rg, e) for e in dom_keys]
-    cod_keys = slice_monomials(rg, ygrading, (ydeg - k, 0), pin_x)
-    codomain = SliceBasis(cod_keys)
+    codomain = SliceBasis(slice_monomials(rg, ygrading, (ydeg - k, 0), pin))
+
+    def apply(p: MultiPoly) -> MultiPoly:
+        out = MultiPoly.zero(rg)
+        for n, c in coeffs.items():
+            if c:
+                out = out + p.derivative(n) * c
+        return out
+
     rows = []
     for e in dom_keys:
         p = MultiPoly.monomial(rg, e)
         for _ in range(k):
-            p = d_alpha(p)
+            p = apply(p)
         rows.append(codomain.vector_from_poly(p))
     kern = kernel_of_rows(rows, len(codomain))
+    domain = SliceBasis(dom_keys)
     return [domain.poly(rg, row) for row in kern.rows]
 
 
@@ -672,37 +626,30 @@ def ordinary_homology_quotient_slice(
 
     The relation submodule is the span of (1 - x^coroot)^k x^lam K with
     K in ker(d_alpha^k), summed over positive roots and 1 <= k <= d.
+    d_alpha differentiates along the coroot: sum_i <basis_root_i,
+    coroot> partial_{y_i}.
     """
+    _check_lattice_degrees(d, ydeg)
     rg = lattice_ring(rd)
     grading = lattice_grading(rd, rg)
     margin0 = 2 * d if margin is None else margin
-    reach = _coroot_reach(rd)
-    window_keys = slice_monomials(rg, grading, (ydeg, 0), _window_dict(rg, bounds))
-
-    kernels = {
-        (i, k): _derivation_kernel(rd, rg, i, k, ydeg)
-        for i in range(rd.npos)
-        for k in range(1, d + 1)
-    }
+    window_keys = slice_monomials(rg, grading, (ydeg, 0), _window_dict(bounds))
+    ynames = y_names(rd.yrank)
+    units = [tuple(1 if a == i else 0 for a in range(rd.yrank)) for i in range(rd.yrank)]
+    generators = []
+    for i in range(rd.npos):
+        d_alpha = {n: rd.pair_coroot(u, rd.coroots[i]) for n, u in zip(ynames, units)}
+        one_minus = MultiPoly.one(rg) - coroot_monomial(rd, rg, i)
+        for k in range(1, d + 1):
+            shell = one_minus**k
+            for K in _derivation_kernel(rg, ynames, d_alpha, k, ydeg):
+                generators.append((shell * K, (ydeg, 0)))
 
     def compute(m: int) -> SliceResult:
-        big_bounds = _enlarged(bounds, (m + d) * reach)
-        gen_bounds = _enlarged(bounds, m * reach)
-        ambient = basis_for_monomials(
-            slice_monomials(rg, grading, (ydeg, 0), _window_dict(rg, big_bounds))
+        ambient, gen_window = _margin_box(rd, rg, grading, ydeg, bounds, d, m)
+        return _generated_slice(
+            rg, grading, (ydeg, 0), ambient, generators, gen_window, window_keys
         )
-        rows = []
-        for i in range(rd.npos):
-            for k in range(1, d + 1):
-                shell = (MultiPoly.one(rg) - coroot_monomial(rd, rg, i)) ** k
-                for lam in _lattice_points(rg, gen_bounds):
-                    base = shell * MultiPoly.monomial(rg, lam)
-                    for K in kernels[(i, k)]:
-                        vec = ambient.vector_from_poly(base * K, strict=False)
-                        if vec is not None:
-                            rows.append(vec)
-        space, basis = _restricted(rows, ambient, window_keys)
-        return SliceResult(basis, space, rg, margin=m)
 
     sub = _stabilize(compute, margin0)
     return QuotientResult(
@@ -713,21 +660,6 @@ def ordinary_homology_quotient_slice(
         margin=sub.margin,
         submodule=sub,
     )
-
-
-def _lattice_points(rg: Ring, bounds: Sequence[tuple[int, int]]) -> list[Exp]:
-    """x-monomial exponent tuples (y parts zero) for all points of the box."""
-    pts = [[0] * rg.nvars]
-    for i, (lo, hi) in enumerate(bounds):
-        vi = rg.index(f"x{i+1}")
-        nxt = []
-        for p in pts:
-            for e in range(lo, hi + 1):
-                q = list(p)
-                q[vi] = e
-                nxt.append(q)
-        pts = nxt
-    return [tuple(p) for p in pts]
 
 
 # ---- rank-one affine flag module at t = 0 ----
@@ -794,12 +726,12 @@ def flag_pair_element(k: int) -> dict:
     return {(k, "e"): ONE, (k, "s"): -ONE}
 
 
-# ---- anti-invariants and graded products ----
+# ---- anti-invariants ----
 
 
 def lattice_alternant(rd: RootDatum, rg: Ring, lam: Exp, ydeg_exp: Exp) -> MultiPoly:
     """Signed Weyl symmetrization of x^lam y^exp over the lattice ring."""
-    ynames = ["y"] if rd.yrank == 1 else [f"y{i+1}" for i in range(rd.yrank)]
+    ynames = y_names(rd.yrank)
     out = MultiPoly.zero(rg)
     ymono = {n: e for n, e in zip(ynames, ydeg_exp)}
     for lat, ymat, sign in weyl_elements(rd):
@@ -868,49 +800,4 @@ def anti_invariant_inclusion_check(
         if not target.contains_poly(prod):
             report.ok = False
             report.failures.append(str(prod))
-    return report
-
-
-def graded_product_check_poly(
-    n: int, d1: int, d2: int, deg1: tuple[int, int], deg2: tuple[int, int]
-) -> InclusionReport:
-    """Products of the two type A slices satisfy the order-(d1+d2) oracle."""
-    s1 = jd_slice(n, d1, deg1)
-    s2 = jd_slice(n, d2, deg2)
-    report = InclusionReport(ok=True, checked=0, status="exact")
-    for p in s1.row_polys():
-        for q in s2.row_polys():
-            report.checked += 1
-            if not symbolic_power_oracle(p * q, n, d1 + d2):
-                report.ok = False
-                report.failures.append(f"({p}) * ({q})")
-    return report
-
-
-def graded_product_check_root(
-    rd: RootDatum,
-    d1: int,
-    d2: int,
-    ydeg1: int,
-    ydeg2: int,
-    bounds: Sequence[tuple[int, int]],
-    margin: int | None = None,
-) -> InclusionReport:
-    """Windowed product check: slice(d1) * slice(d2) inside slice(d1+d2).
-
-    The product slice is computed over the sum box so supports fit.
-    """
-    s1 = jd_root_slice(rd, d1, ydeg1, bounds, margin)
-    s2 = jd_root_slice(rd, d2, ydeg2, bounds, margin)
-    big = [(lo + lo2, hi + hi2) for (lo, hi), (lo2, hi2) in zip(bounds, bounds)]
-    target = jd_root_slice(rd, d1 + d2, ydeg1 + ydeg2, big, margin)
-    report = InclusionReport(ok=True, checked=0)
-    if "inconclusive" in (s1.status, s2.status, target.status):
-        report.status = "inconclusive"
-    for p in s1.row_polys():
-        for q in s2.row_polys():
-            report.checked += 1
-            if not target.contains_poly(p * q):
-                report.ok = False
-                report.failures.append(f"({p}) * ({q})")
     return report

@@ -6,8 +6,7 @@ inconclusive windowed computation (margin never stabilized), 64 for
 malformed usage or an argument outside the library's domain (a
 ValueError), 70 for an internal error (any other exception; the
 traceback goes to stderr). JSON output is canonical: sorted keys,
-two-space indent, rationals rendered "num/den". GKMSLICE_WORKERS caps
-the worker pool used for independent slice computations.
+two-space indent, rationals rendered "num/den".
 """
 
 from __future__ import annotations
@@ -16,10 +15,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 
 from . import arrangement, curves, gkm
 from .rootdata import RootDatum, root_datum
@@ -45,16 +42,13 @@ class Parser(argparse.ArgumentParser):
 
 
 def worker_count() -> int:
-    env = os.environ.get("GKMSLICE_WORKERS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise UsageError(f"GKMSLICE_WORKERS must be an integer, got {env!r}")
-        if n < 1:
-            raise UsageError("GKMSLICE_WORKERS must be >= 1")
-        return n
-    return min(8, os.cpu_count() or 1)
+    """Number of workers that compute slices: always 1.
+
+    Slices are pure-Python work, so threads only take turns on the GIL;
+    every subcommand runs in the calling thread. Kept as a function
+    because the benchmark records it as the pool width.
+    """
+    return 1
 
 
 def parse_window(text: str, dims: int) -> list[tuple[int, int]]:
@@ -135,23 +129,18 @@ def deg_key(deg: tuple[int, int]) -> str:
 def cmd_jd_series(args) -> int:
     if args.group.strip().upper() != "GL":
         raise UsageError("jd-series supports --group GL (pointwise diagonals)")
+    if args.maxdeg < 0:
+        raise UsageError(f"--maxdeg must be >= 0, got {args.maxdeg}")
     degs = [
         (a, b)
         for total in range(args.maxdeg + 1)
         for a in range(total + 1)
         for b in [total - a]
     ]
-
-    def rank_at(deg):
-        return arrangement.jd_slice(args.n, args.d, deg, method=args.method).rank
-
-    workers = worker_count()
-    if workers > 1 and len(degs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ranks = list(pool.map(rank_at, degs))
-    else:
-        ranks = [rank_at(deg) for deg in degs]
-    table = {deg: rank for deg, rank in zip(degs, ranks)}
+    table = {
+        deg: arrangement.jd_slice(args.n, args.d, deg, method=args.method).rank
+        for deg in degs
+    }
     if args.format == "json":
         payload = {
             "group": f"GL{args.n}",
@@ -260,17 +249,15 @@ def named_class(graph: gkm.GkmGraph, name: str, d: int) -> dict:
     """Resolve a class name: b<k> on lattice graphs, pair<k>/step<k>/constant
     on the flag graph."""
     key = name.strip().lower()
-    try:
-        if key.startswith("b"):
-            return gkm.sl2_classes(d, int(key[1:]))
-        if key.startswith("pair"):
-            return gkm.flag_rank1_classes("pair", int(key[4:]))
-        if key.startswith("step"):
-            return gkm.flag_rank1_classes("step", int(key[4:]))
-        if key == "constant":
-            return gkm.flag_constant_class(graph)
-    except ValueError:
-        pass
+    if key == "constant":
+        return gkm.flag_constant_class(graph)
+    for kind in ("b", "pair", "step"):
+        if key.startswith(kind):
+            try:
+                k = int(key[len(kind):])
+            except ValueError:
+                break
+            return gkm.sl2_classes(d, k) if kind == "b" else gkm.flag_rank1_classes(kind, k)
     raise UsageError(f"unknown class name {name!r} (use b<k>, pair<k>, step<k>, constant)")
 
 

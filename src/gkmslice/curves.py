@@ -20,15 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .arrangement import xy_grading, xy_ring
-from .linalg import (
-    SliceBasis,
-    Subspace,
-    basis_for_monomials,
-    intersect_subspaces,
-    kernel_of_rows,
-    sum_subspaces,
-)
+from .arrangement import _derivation_kernel, _generated_slice, xy_grading, xy_ring
+from .linalg import SliceBasis, Subspace, basis_for_monomials, intersect_subspaces, sum_subspaces
 from .rationals import rat
 from .rings import MultiPoly, Ring, ring, slice_monomials
 from .series import RationalSeries, equal_up_to_monomial
@@ -232,46 +225,28 @@ def knot_compare(name: str) -> KnotCompareReport:
 
 def pair_diff_kernel(n: int, i: int, j: int, k: int, ydeg: int) -> list[MultiPoly]:
     """Basis of ker (d/dy_i - d/dy_j)^k on degree-ydeg polynomials in y."""
-    rg = xy_ring(n)
-    grading = xy_grading(n)
-    dom_keys = slice_monomials(rg, grading, (0, ydeg))
-    domain = SliceBasis(dom_keys)
-    if ydeg < k:
-        return [MultiPoly.monomial(rg, e) for e in dom_keys]
-    cod = SliceBasis(slice_monomials(rg, grading, (0, ydeg - k)))
-    rows = []
-    for e in dom_keys:
-        p = MultiPoly.monomial(rg, e)
-        for _ in range(k):
-            p = p.derivative(f"y{i}") - p.derivative(f"y{j}")
-        rows.append(cod.vector_from_poly(p))
-    kern = kernel_of_rows(rows, len(cod))
-    return [domain.poly(rg, row) for row in kern.rows]
+    ynames = [f"y{a+1}" for a in range(n)]
+    return _derivation_kernel(xy_ring(n), ynames, {f"y{i}": 1, f"y{j}": -1}, k, ydeg)
 
 
 def quotient_relations_slice(n: int, d: int, deg: tuple[int, int]) -> Subspace:
     """Relation subspace at one curve bidegree (q-degree, t-degree)."""
     rg = xy_ring(n)
     curve = xy_grading(n, "curve")
-    alg = xy_grading(n)
     basis = basis_for_monomials(slice_monomials(rg, curve, deg))
-    space = Subspace(len(basis))
     if deg[1] % 2:
-        return space
+        return Subspace(len(basis))
     ydeg = deg[1] // 2
+    generators = []
     for i, j in itertools.combinations(range(1, n + 1), 2):
         xi, xj = MultiPoly.gen(rg, f"x{i}"), MultiPoly.gen(rg, f"x{j}")
         for k in range(1, d + 1):
-            xdeg = deg[0] - k - ydeg
-            if xdeg < 0:
+            if deg[0] - k - ydeg < 0:
                 continue
             shell = (xi - xj) ** k
-            kernel = pair_diff_kernel(n, i, j, k, ydeg)
-            for m in slice_monomials(rg, alg, (xdeg, 0)):
-                base = shell * MultiPoly.monomial(rg, m)
-                for K in kernel:
-                    space.insert(basis.vector_from_poly(base * K))
-    return space
+            for K in pair_diff_kernel(n, i, j, k, ydeg):
+                generators.append((shell * K, (k + ydeg, deg[1])))
+    return _generated_slice(rg, curve, deg, basis, generators).space
 
 
 def quotient_hilbert_slice(n: int, d: int, deg: tuple[int, int]) -> int:
@@ -312,6 +287,8 @@ def conjecture_vs_msv(n: int, d: int, order: int = 6) -> ConjectureReport:
     The series substitutes L -> t^2; every bidegree (N, M) with N <=
     order and M <= 2N is compared. Mismatches are collected, not raised.
     """
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     name, series = reference_series(n, d)
     in_t = series.map_monomials([[1, 0], [0, 2]], QT_RING)
     expansion = in_t.expand(order, ["q"]).terms
@@ -334,26 +311,17 @@ def conjecture_vs_msv(n: int, d: int, order: int = 6) -> ConjectureReport:
 def _u_subspace(which: int, deg: tuple[int, int], basis: SliceBasis) -> Subspace:
     """U_i = (x_j - x_k) Q[x1,x2,x3, y_j + y_k, y_i] sliced at a curve bidegree."""
     rg = xy_ring(3)
-    alg = xy_grading(3)
+    if deg[1] % 2:
+        return Subspace(len(basis))
+    ydeg = deg[1] // 2
     j, k = [a for a in (1, 2, 3) if a != which]
     xj, xk = MultiPoly.gen(rg, f"x{j}"), MultiPoly.gen(rg, f"x{k}")
     ysum = MultiPoly.gen(rg, f"y{j}") + MultiPoly.gen(rg, f"y{k}")
     yi = MultiPoly.gen(rg, f"y{which}")
-    space = Subspace(len(basis))
-    if deg[1] % 2:
-        return space
-    ydeg = deg[1] // 2
-    for p in range(ydeg + 1):
-        q = ydeg - p
-        xdeg = deg[0] - 1 - ydeg
-        if xdeg < 0:
-            continue
-        ypart = ysum**p * yi**q
-        for m in slice_monomials(rg, alg, (xdeg, 0)):
-            space.insert(
-                basis.vector_from_poly((xj - xk) * MultiPoly.monomial(rg, m) * ypart)
-            )
-    return space
+    generators = [
+        ((xj - xk) * ysum**p * yi ** (ydeg - p), (1 + ydeg, deg[1])) for p in range(ydeg + 1)
+    ]
+    return _generated_slice(rg, xy_grading(3, "curve"), deg, basis, generators).space
 
 
 @dataclass

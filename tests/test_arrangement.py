@@ -14,9 +14,6 @@ from gkmslice.arrangement import (
     flag_step_element,
     freeness_check,
     full_slice,
-    graded_product_check_poly,
-    graded_product_check_root,
-    jd_ktheory_slice,
     jd_root_slice,
     jd_slice,
     ordinary_homology_quotient_slice,
@@ -142,14 +139,28 @@ def test_jd_root_slice_gl2_ydeg1():
     assert not result.contains_poly(y1)
 
 
-def test_ordinary_quotient_gl2():
-    rd = root_datum("GL2")
-    result = ordinary_homology_quotient_slice(rd, 1, 0, [(0, 1), (0, 1)])
-    assert result.status == "stabilized"
-    assert result.ambient_dim == 4
-    assert result.quotient_dim == 3
-    rows = [str(p) for p in result.submodule.row_polys()]
-    assert rows == ["x2 - x1"]
+@pytest.mark.parametrize(
+    "group,d,ydeg,window,expected",
+    [
+        ("GL2", 1, 0, (0, 1), (4, 1, 3, "stabilized", 2)),
+        ("B2", 1, 2, (-1, 1), (27, 20, 7, "stabilized", 2)),
+        ("G2", 1, 1, (0, 1), (8, 5, 3, "stabilized", 2)),
+    ],
+    ids=["GL2", "B2", "G2"],
+)
+def test_ordinary_quotient(group, d, ydeg, window, expected):
+    rd = root_datum(group)
+    result = ordinary_homology_quotient_slice(rd, d, ydeg, [window] * rd.rank)
+    got = (
+        result.ambient_dim,
+        result.submodule_rank,
+        result.quotient_dim,
+        result.status,
+        result.margin,
+    )
+    assert got == expected
+    if group == "GL2":
+        assert [str(p) for p in result.submodule.row_polys()] == ["x2 - x1"]
 
 
 def test_flag_module_window():
@@ -173,19 +184,6 @@ def test_anti_invariant_inclusion_gl2():
     assert report.checked == 3
 
 
-def test_ktheory_slice_gl2():
-    rd = root_datum("GL2")
-    box = [(-1, 1), (-1, 1)]
-    result = jd_ktheory_slice(rd, 1, box, box, margin=1)
-    assert result.status == "stabilized"
-    rg = result.ring
-    x1, x2 = MultiPoly.gen(rg, "x1"), MultiPoly.gen(rg, "x2")
-    y1, y2 = MultiPoly.gen(rg, "y1"), MultiPoly.gen(rg, "y2")
-    assert result.contains_poly(x1 - x2)
-    assert result.contains_poly(y1 - y2)
-    assert not result.contains_poly(MultiPoly.one(rg))
-
-
 def test_stabilize_reports_inconclusive_growth():
     from gkmslice.arrangement import SliceResult, _stabilize
     from gkmslice.linalg import SliceBasis, span
@@ -205,13 +203,3 @@ def test_stabilize_reports_inconclusive_growth():
         return SliceResult(basis, span([{0: rat(1)}], 4), xy_ring(1), margin=m)
 
     assert _stabilize(constant, 1).status == "stabilized"
-
-
-def test_graded_products_stay_in_higher_power():
-    report = graded_product_check_poly(3, 1, 1, (1, 1), (1, 1))
-    assert report.ok
-    assert report.checked > 0
-    rd = root_datum("GL2")
-    root_report = graded_product_check_root(rd, 1, 1, 0, 0, [(0, 2), (0, 2)])
-    assert root_report.ok
-    assert root_report.checked > 0

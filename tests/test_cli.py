@@ -161,18 +161,6 @@ def test_output_file(capsys, tmp_path):
     assert json.loads(path.read_text())["total"] == 2
 
 
-def test_worker_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("GKMSLICE_WORKERS", "2")
-    _, a = run_cli(capsys, ["jd-series", "--group", "GL", "--n", "2", "--maxdeg", "3"])
-    monkeypatch.setenv("GKMSLICE_WORKERS", "1")
-    _, b = run_cli(capsys, ["jd-series", "--group", "GL", "--n", "2", "--maxdeg", "3"])
-    assert a == b
-    monkeypatch.setenv("GKMSLICE_WORKERS", "zero")
-    code = cli.main(["jd-series", "--group", "GL", "--n", "2", "--maxdeg", "2"])
-    capsys.readouterr()
-    assert code == 64
-
-
 def test_gkm_verify_flag_constant(capsys):
     code, out = run_cli(
         capsys,
@@ -190,8 +178,24 @@ def test_gkm_verify_flag_constant(capsys):
         ["catalan", "--n", "1"],
         ["flag-rank1", "--margin", "-3"],
         ["jd-series", "--n", "2", "--d", "-1"],
+        ["ordinary-quotient", "--group", "GL2", "--ydeg", "-1"],
+        ["freeness", "--n", "2", "--maxdeg", "-1"],
+        ["conjecture-check", "--n", "2", "--d", "1", "--order", "-1"],
+        ["jd-series", "--n", "2", "--maxdeg", "-1"],
+        ["gkm-verify", "--group", "SL2", "--d", "0", "--class", "b0"],
     ],
-    ids=["jd-n1", "jd-n0", "catalan-n1", "flag-negative-margin", "jd-negative-d"],
+    ids=[
+        "jd-n1",
+        "jd-n0",
+        "catalan-n1",
+        "flag-negative-margin",
+        "jd-negative-d",
+        "oq-negative-ydeg",
+        "freeness-negative-maxdeg",
+        "conjecture-negative-order",
+        "jd-negative-maxdeg",
+        "gkm-verify-d0",
+    ],
 )
 def test_out_of_domain_arguments_exit_64(capsys, argv):
     code = cli.main(argv)
@@ -199,6 +203,8 @@ def test_out_of_domain_arguments_exit_64(capsys, argv):
     assert code == 64
     assert captured.out == ""
     assert captured.err.startswith("gkmslice: error: ")
+    if argv[0] == "gkm-verify":
+        assert "d must be >= 1" in captured.err
 
 
 def test_internal_error_exits_70_with_traceback(capsys, monkeypatch):
