@@ -42,12 +42,6 @@ class GkmGraph:
     vertices: tuple[VertexKey, ...]
     edges: tuple[tuple[VertexKey, VertexKey, MultiPoly], ...]
 
-    def vertex_set(self) -> set:
-        return set(self.vertices)
-
-    def incident_weights(self, v: VertexKey) -> list[MultiPoly]:
-        return [w for a, b, w in self.edges if a == v or b == v]
-
 
 def lattice_window(bounds: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
     """All lattice points of a coordinate box, sorted."""
@@ -163,20 +157,6 @@ def parallel(p: MultiPoly, q: MultiPoly) -> bool:
         return False
 
 
-def _substitution_for(chi: MultiPoly) -> tuple[str, Mapping[str, MultiPoly]]:
-    """Images realizing chi = 0 by eliminating its first supported variable."""
-    rg = chi.ring
-    coeffs = linear_coeffs(chi)
-    pivot = next(i for i, c in enumerate(coeffs) if c != 0)
-    a = coeffs[pivot]
-    image = MultiPoly.zero(rg)
-    for i, c in enumerate(coeffs):
-        if i == pivot or c == 0:
-            continue
-        image = image - MultiPoly.gen(rg, rg.names[i]) * (c / a)
-    return rg.names[pivot], {rg.names[pivot]: image}
-
-
 def residue_along(form: LocalForm, chi: MultiPoly) -> RationalSeries:
     """Residue of the form along the hyperplane chi = 0.
 
@@ -185,17 +165,24 @@ def residue_along(form: LocalForm, chi: MultiPoly) -> RationalSeries:
     global factor, so zero-tests of residue sums are scale independent.
     """
     rg = form.num.ring
-    on_wall = [f for f in form.den if parallel(f, chi)]
-    off_wall = [f for f in form.den if not parallel(f, chi)]
+    on_wall, off_wall = [], []
+    for f in form.den:
+        (on_wall if parallel(f, chi) else off_wall).append(f)
     if len(on_wall) > 1:
         raise ValueError("pole of order > 1 along the character")
     if not on_wall:
         return RationalSeries.zero(rg)
+    # chi = 0 is realized by eliminating chi's first supported variable
     chi_c = linear_coeffs(chi)
-    wall_c = linear_coeffs(on_wall[0])
     pivot = next(i for i, c in enumerate(chi_c) if c != 0)
-    ratio = wall_c[pivot] / chi_c[pivot]
-    _, images = _substitution_for(chi)
+    a = chi_c[pivot]
+    ratio = linear_coeffs(on_wall[0])[pivot] / a
+    image = MultiPoly.zero(rg)
+    for i, c in enumerate(chi_c):
+        if i == pivot or c == 0:
+            continue
+        image = image - MultiPoly.gen(rg, rg.names[i]) * (c / a)
+    images = {rg.names[pivot]: image}
     num = form.num.substitute(images, rg) * (ONE / ratio)
     factors = [(f.substitute(images, rg), 1) for f in off_wall]
     return RationalSeries(num, factors)
@@ -239,23 +226,28 @@ def verify_residue_conditions(graph: GkmGraph, cls: ClassTuple) -> VerifyReport:
     chi-subgraph.
     """
     report = VerifyReport(ok=True)
-    vset = graph.vertex_set()
-    for v, form in cls.items():
-        if v not in vset:
+    groups: dict[tuple, list] = {}  # direction -> its edges, in edge order
+    incident: dict[VertexKey, set] = {v: set() for v in graph.vertices}
+    for a, b, w in graph.edges:
+        direction = primitive_direction(w)
+        groups.setdefault(direction, []).append((a, b, w))
+        incident[a].add(direction)
+        incident[b].add(direction)
+    for v in cls:
+        if v not in incident:
             report.add_failure("vertex-outside-window", vertex=repr(v))
             return report
     # pole positions and orders
+    poles: dict[VertexKey, set] = {}
     for v in sorted(cls, key=repr):
-        form = cls[v]
-        incident = [primitive_direction(w) for w in graph.incident_weights(v)]
-        seen = []
-        for f in form.den:
+        seen = poles[v] = set()
+        for f in cls[v].den:
             try:
                 direction = primitive_direction(f)
             except ValueError:
                 report.add_failure("bad-denominator", vertex=repr(v), factor=str(f))
                 continue
-            if direction not in incident:
+            if direction not in incident[v]:
                 report.add_failure(
                     "pole-not-an-edge", vertex=repr(v), factor=str(f)
                 )
@@ -263,23 +255,20 @@ def verify_residue_conditions(graph: GkmGraph, cls: ClassTuple) -> VerifyReport:
                 report.add_failure(
                     "pole-order-too-high", vertex=repr(v), factor=str(f)
                 )
-            seen.append(direction)
+            seen.add(direction)
     if not report.ok:
         return report
     # residue sums per character and component
-    directions: dict[tuple, MultiPoly] = {}
-    for _, _, w in graph.edges:
-        directions.setdefault(primitive_direction(w), w)
-    for direction in sorted(directions):
-        chi = directions[direction]
+    for direction in sorted(groups):
+        group = groups[direction]
+        chi = group[0][2]
         uf = _UnionFind(graph.vertices)
-        for a, b, w in graph.edges:
-            if primitive_direction(w) == direction:
-                uf.union(a, b)
+        for a, b, _ in group:
+            uf.union(a, b)
         report.characters_checked += 1
         sums: dict = {}
         for v, form in cls.items():
-            if not any(parallel(f, chi) for f in form.den):
+            if direction not in poles[v]:
                 continue
             root = uf.find(v)
             acc = sums.get(root)
@@ -306,15 +295,6 @@ def smearing_factors(d: int, k: int, j: int, rg: Ring) -> list[MultiPoly]:
     y = MultiPoly.gen(rg, "y")
     t = MultiPoly.gen(rg, "t")
     return [y + (2 * k + i + j) * t for i in range(d + 1) if i != j]
-
-
-def f_poly(d: int, k: int, j: int, rg: Ring | None = None) -> MultiPoly:
-    """Product of the slot-j denominator factors."""
-    rg = rg or weight_ring(1)
-    out = MultiPoly.one(rg)
-    for f in smearing_factors(d, k, j, rg):
-        out = out * f
-    return out
 
 
 def sl2_classes(d: int, k: int) -> ClassTuple:

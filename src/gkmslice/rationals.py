@@ -30,31 +30,6 @@ ZERO = rat(0)
 ONE = rat(1)
 
 
-def rat_from_str(s: str):
-    """Parse "p/q" or "p" into an exact rational.
-
-    Raises ValueError on malformed input or zero denominator.
-    """
-    txt = s.strip()
-    if "/" in txt:
-        p, q = txt.split("/", 1)
-        den = int(q)
-        if den == 0:
-            raise ValueError(f"zero denominator in {s!r}")
-        return rat(int(p), den)
-    return rat(int(txt))
-
-
 def rat_parts(a) -> tuple[int, int]:
     """(numerator, denominator) as plain ints, denominator positive."""
     return int(a.numerator), int(a.denominator)
-
-
-def rat_str(a) -> str:
-    """Render as "p/q", or "p" when the denominator is 1."""
-    num, den = rat_parts(a)
-    return str(num) if den == 1 else f"{num}/{den}"
-
-
-def is_rational(a) -> bool:
-    return isinstance(a, (int, Fraction)) or type(a) is type(ZERO)

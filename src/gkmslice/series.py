@@ -76,10 +76,6 @@ class RationalSeries:
     # ---- constructors ----
 
     @staticmethod
-    def from_poly(p: MultiPoly) -> "RationalSeries":
-        return RationalSeries(p, ())
-
-    @staticmethod
     def zero(ring: Ring) -> "RationalSeries":
         return RationalSeries(MultiPoly.zero(ring), ())
 

@@ -1,7 +1,5 @@
 """Diagonal ideal slices, quotients, and windowed lattice modules."""
 
-import itertools
-
 import pytest
 
 from gkmslice.arrangement import (
@@ -20,7 +18,6 @@ from gkmslice.arrangement import (
     pair_ideal_slice,
     symbolic_power_oracle,
     vanishing_slice,
-    xy_grading,
     xy_ring,
 )
 from gkmslice.rings import MultiPoly

@@ -3,6 +3,7 @@
 import pytest
 
 from gkmslice.gkm import (
+    LocalForm,
     build_flag_rank1_graph,
     build_gkm_graph,
     class_from_json,
@@ -18,7 +19,7 @@ from gkmslice.gkm import (
     specialize_t0,
     verify_residue_conditions,
 )
-from gkmslice.rings import MultiPoly, ring
+from gkmslice.rings import MultiPoly
 from gkmslice.rootdata import root_datum
 
 
@@ -68,6 +69,37 @@ def test_perturbed_class_fails():
     report = verify_residue_conditions(graph, bad)
     assert not report.ok
     assert any(f["kind"] == "residue-sum-nonzero" for f in report.failures)
+
+
+def _sl2_d2_graph():
+    return build_gkm_graph(root_datum("SL2"), 2, [(-8, 8)])
+
+
+@pytest.mark.parametrize(
+    "vertex,den,kind",
+    [
+        ((100,), lambda y, t: (), "vertex-outside-window"),
+        ((0,), lambda y, t: (y * y,), "bad-denominator"),
+        ((0,), lambda y, t: (y,), "pole-not-an-edge"),
+        ((0,), lambda y, t: (y - t, y - t), "pole-order-too-high"),
+    ],
+)
+def test_structural_failure_kinds(vertex, den, kind):
+    graph = _sl2_d2_graph()
+    y = MultiPoly.gen(graph.ring, "y")
+    t = MultiPoly.gen(graph.ring, "t")
+    cls = {vertex: LocalForm(MultiPoly.one(graph.ring), den(y, t))}
+    report = verify_residue_conditions(graph, cls)
+    assert not report.ok
+    assert [f["kind"] for f in report.failures] == [kind]
+    assert report.characters_checked == report.components_checked == 0
+
+
+def test_passing_class_counts():
+    report = verify_residue_conditions(_sl2_d2_graph(), sl2_classes(2, 0))
+    assert report.ok, report.failures
+    assert report.characters_checked == 31
+    assert report.components_checked == 3
 
 
 def test_residue_antisymmetry():
