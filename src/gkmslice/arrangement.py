@@ -10,19 +10,21 @@ Lattice side: the group algebra Q[Lambda] tensor Q[y] (x variables
 Laurent) with per-root ideals (y_alpha, 1 - x^coroot)^d, the homology
 quotient by derivation kernels, and the rank-one affine flag module.
 Windowed slices are computed by spanning generators over a
-margin-enlarged box and then cutting back to vectors supported inside
-the window; ranks are monotone in the margin and results carry a
-stabilization status.
+margin-enlarged box and cutting back, in the same elimination pass, to
+vectors supported inside the window; ranks are monotone in the margin
+and results carry a stabilization status.
 
 Every slice spanned by generators goes through `_generated_slice`: each
-generator times the monomials of the remaining degree, mapped into an
-ambient basis and, for windowed slices, cut back to the window.
+generator times the monomials of the remaining degree, read off the
+ambient basis by shifting the generator's exponents and, for windowed
+slices, cut back to the window.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .gkm import y_names
@@ -93,12 +95,15 @@ def _generated_slice(
     """Span of generator * monomial at degree deg, over the ambient basis.
 
     Each generator comes with its degree and is multiplied by every
-    monomial of the remaining degree (inside gen_window when given).
-    Without a window every product must lie in the ambient basis. With
-    one, products leaving it are dropped and the span is cut back to the
-    vectors supported on window_keys.
+    monomial of the remaining degree (inside gen_window when given). A
+    product is the generator's terms with their exponents shifted by the
+    monomial, so its row is read off the ambient index directly. Without
+    a window every product must lie in the ambient basis (KeyError
+    otherwise). With one, products leaving it are dropped and the span is
+    cut back to the vectors supported on window_keys in one elimination.
     """
     multipliers: dict[tuple[int, int], list[Exp]] = {}  # generators often share a degree
+    index = ambient.index
 
     def rows():
         for gen, gdeg in generators:
@@ -107,12 +112,14 @@ def _generated_slice(
                 continue
             if rem not in multipliers:
                 multipliers[rem] = slice_monomials(rg, grading, rem, gen_window)
+            exps = list(gen.terms)
+            coeffs = list(gen.terms.values())
             for m in multipliers[rem]:
-                vec = ambient.vector_from_poly(
-                    gen * MultiPoly.monomial(rg, m), strict=gen_window is None
-                )
-                if vec is not None:
-                    yield vec
+                cols = [index.get(tuple(map(add, e, m))) for e in exps]
+                if None not in cols:
+                    yield dict(zip(cols, coeffs))
+                elif gen_window is None:
+                    raise KeyError(f"product of {gen} and {m} outside slice basis")
 
     if window_keys is None:
         return SliceResult(ambient, span(rows(), len(ambient)), rg)
@@ -502,11 +509,9 @@ def _restricted(
     ambient: SliceBasis,
     window_keys: Sequence,
 ) -> tuple[Subspace, SliceBasis]:
-    """Cut a spanned subspace down to vectors supported on window_keys."""
-    big = span(rows, len(ambient))
+    """The span of rows, cut down to vectors supported on window_keys."""
     keep = [ambient.index[k] for k in window_keys]
-    small = restrict_to_columns(big, keep)
-    return small, SliceBasis(window_keys)
+    return restrict_to_columns(rows, keep, len(ambient)), SliceBasis(window_keys)
 
 
 def _stabilize(compute: Callable[[int], SliceResult], margin0: int, tries: int = 4) -> SliceResult:

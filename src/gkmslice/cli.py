@@ -108,8 +108,11 @@ def render_csv(header: list[str], rows: list[list]) -> str:
 
 def emit(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -264,8 +267,11 @@ def named_class(graph: gkm.GkmGraph, name: str, d: int) -> dict:
 def cmd_gkm_verify(args) -> int:
     graph = build_graph(args)
     if args.classes_file:
-        with open(args.classes_file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(args.classes_file, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"cannot read {args.classes_file}: {exc.strerror}") from None
         cls = gkm.class_from_json(data, graph.ring)
         name = args.classes_file
     elif args.cls:

@@ -15,6 +15,9 @@ Kernels use the augmented-row trick: stack generators with identity
 tags, reduce with pivots on the original columns only, and read the
 relations off rows whose original part vanished. An intersection is the
 kernel of the remainders of one space's rows modulo the other.
+Restriction to a set of columns is the same kernel with the dropped
+columns ordered first: what is left of a vector once the dropped block
+is eliminated is supported on the kept columns.
 """
 
 from __future__ import annotations
@@ -212,18 +215,22 @@ def sum_subspaces(a: Subspace, b: Subspace) -> Subspace:
     return out
 
 
-def _kernel(tagged: Iterable[Row], ncols: int, count: int) -> Subspace:
-    """Relations among `count` integer rows, the i-th tagged at ncols + i.
+def _kernel(vectors: Iterable[Row], base: int, count: int) -> Subspace:
+    """Eliminate integer vectors on the first `base` columns; keep what
+    is left past them.
 
-    Pivots stay on the first ncols columns; a row that reduces to 0 there
-    leaves the tags of one relation.
+    Pivots stay on the first base columns, so the rows kept there have
+    independent parts on them, and a vector that reduces to 0 on them
+    leaves a remainder on columns base .. base + count - 1. The span of
+    those remainders is returned as a subspace of Q^count. With the i-th
+    of `count` rows tagged at base + i, it is the relations among them.
     """
-    work = Subspace(ncols + count)
+    work = Subspace(base + count)
     out = Subspace(count)
-    for v in tagged:
-        tags = work._insert(v, ncols)
-        if tags:
-            out._insert({j - ncols: c for j, c in tags.items()})
+    for v in vectors:
+        rest = work._insert(v, base)
+        if rest:
+            out._insert({j - base: c for j, c in rest.items()})
     return out
 
 
@@ -272,28 +279,27 @@ def kernel_of_rows(rows: Sequence[Row], ncols: int) -> Subspace:
     return _kernel(tagged(), ncols, len(rows))
 
 
-def restrict_to_columns(sub: Subspace, keep: Sequence[int]) -> Subspace:
-    """Subspace of vectors in `sub` supported on `keep`, reindexed to keep.
+def restrict_to_columns(vectors: Iterable[Row], keep: Sequence[int], ncols: int) -> Subspace:
+    """Elements of the span of `vectors` (in Q^ncols) supported on `keep`,
+    reindexed to keep.
 
-    Reduction is redone with the complementary columns ordered first, so
-    rows pivoting inside the keep block have zero support outside it;
-    those rows are already the scaled RREF of the result.
+    One pass of `_kernel` with the dropped columns ordered first: the
+    elements of the span that vanish on them are spanned by what each
+    vector leaves after elimination there.
     """
     keep_set = set(keep)
-    drop = [j for j in range(sub.ncols) if j not in keep_set]
+    drop = [j for j in range(ncols) if j not in keep_set]
     order = {j: i for i, j in enumerate(drop)}
     base = len(drop)
     for i, j in enumerate(keep):
         order[j] = base + i
-    perm = Subspace(sub.ncols)
-    for row in sub._rows.values():
-        perm._insert({order[j]: c for j, c in row.items()})
-    out = Subspace(len(keep))
-    for p in perm.pivots:
-        if p >= base:
-            out.pivots.append(p - base)
-            out._rows[p - base] = {j - base: c for j, c in perm._rows[p].items()}
-    return out
+
+    def permuted():
+        for vec in vectors:
+            v, _ = _integer(vec)
+            yield {order[j]: c for j, c in v.items()}
+
+    return _kernel(permuted(), base, len(keep))
 
 
 def rank_of(vectors: Iterable[Row], ncols: int) -> int:

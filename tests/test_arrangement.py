@@ -3,6 +3,7 @@
 import pytest
 
 from gkmslice.arrangement import (
+    _generated_slice,
     alternant,
     alternant_slice,
     anti_invariant_inclusion_check,
@@ -20,7 +21,8 @@ from gkmslice.arrangement import (
     vanishing_slice,
     xy_ring,
 )
-from gkmslice.rings import MultiPoly
+from gkmslice.linalg import SliceBasis, basis_for_monomials
+from gkmslice.rings import MultiPoly, grading_for, ring, slice_monomials
 from gkmslice.rootdata import root_datum
 
 
@@ -29,6 +31,24 @@ def xy_gens(n):
     xs = [MultiPoly.gen(rg, f"x{i+1}") for i in range(n)]
     ys = [MultiPoly.gen(rg, f"y{i+1}") for i in range(n)]
     return rg, xs, ys
+
+
+def test_generated_slice_product_outside_basis():
+    # unwindowed: x * y leaves the basis {x^2}, which is an error
+    rg = ring(["x", "y"])
+    grading = grading_for(rg, {"x": (1, 0), "y": (1, 0)})
+    x = MultiPoly.gen(rg, "x")
+    with pytest.raises(KeyError):
+        _generated_slice(rg, grading, (2, 0), SliceBasis([(2, 0)]), [(x, (1, 0))])
+    # windowed: (1 - x) * x leaves the box x^-1..x and is dropped
+    rg = ring(["x", "y"], laurent=["x"])
+    grading = grading_for(rg, {"y": (1, 0)})
+    box = {"x": (-1, 1)}
+    ambient = basis_for_monomials(slice_monomials(rg, grading, (0, 0), box))
+    one_minus_x = MultiPoly.one(rg) - MultiPoly.gen(rg, "x")
+    window = [(0, 0), (1, 0)]
+    out = _generated_slice(rg, grading, (0, 0), ambient, [(one_minus_x, (0, 0))], box, window)
+    assert out.row_polys() == [one_minus_x]
 
 
 def test_pair_slice_rank():

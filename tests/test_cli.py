@@ -183,6 +183,8 @@ def test_gkm_verify_flag_constant(capsys):
         ["conjecture-check", "--n", "2", "--d", "1", "--order", "-1"],
         ["jd-series", "--n", "2", "--maxdeg", "-1"],
         ["gkm-verify", "--group", "SL2", "--d", "0", "--class", "b0"],
+        ["gkm-verify", "--group", "SL2", "--classes-file", "/nonexistent.json"],
+        ["jd-series", "--n", "2", "--maxdeg", "1", "--output", "/nonexistent/dir/x.json"],
     ],
     ids=[
         "jd-n1",
@@ -195,6 +197,8 @@ def test_gkm_verify_flag_constant(capsys):
         "conjecture-negative-order",
         "jd-negative-maxdeg",
         "gkm-verify-d0",
+        "gkm-verify-missing-classes-file",
+        "output-in-missing-dir",
     ],
 )
 def test_out_of_domain_arguments_exit_64(capsys, argv):
@@ -203,7 +207,7 @@ def test_out_of_domain_arguments_exit_64(capsys, argv):
     assert code == 64
     assert captured.out == ""
     assert captured.err.startswith("gkmslice: error: ")
-    if argv[0] == "gkm-verify":
+    if "--d" in argv and argv[0] == "gkm-verify":
         assert "d must be >= 1" in captured.err
 
 

@@ -85,8 +85,7 @@ def test_restrict_to_columns_is_projection_intersection():
     # elements that vanish outside: x*(r0) + y*(r1) supported in {0,1}
     # forces x + y = 0 giving (1,-1,0).
     rows = [{0: rat(1), 2: rat(1)}, {1: rat(1), 2: rat(1)}]
-    sub = span(rows, 3)
-    restricted = restrict_to_columns(sub, [0, 1])
+    restricted = restrict_to_columns(rows, [0, 1], 3)
     assert restricted.rank == 1
     assert restricted.contains({0: rat(1), 1: rat(-1)})
 
@@ -225,14 +224,35 @@ def test_kernel_matches_fraction_reference(family):
     assert is_backend_rational(kern.rows)
 
 
+def with_dependent_and_zero(vecs):
+    """vecs plus a zero vector and, when there are two, a combination of them."""
+    out = list(vecs) + [{}]
+    if len(vecs) >= 2:
+        a, b = vecs[0], vecs[-1]
+        combo = {j: 2 * a.get(j, 0) - b.get(j, 0) for j in set(a) | set(b)}
+        out.insert(1, {j: c for j, c in combo.items() if c})
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(rational_families(), st.data())
 def test_restriction_matches_fraction_reference(family, data):
     ncols, (vecs,) = family
+    vecs = with_dependent_and_zero(vecs)
     keep = data.draw(st.permutations(range(ncols)))[: data.draw(st.integers(0, ncols))]
-    restricted = restrict_to_columns(span(vecs, ncols), keep)
+    restricted = restrict_to_columns(vecs, keep, ncols)
     coords = [{j: Fraction(1)} for j in keep]
     inside = ref_intersection(vecs, coords, ncols)
     rows, _ = ref_rref([{i: v[j] for i, j in enumerate(keep) if j in v} for v in inside], len(keep))
     assert as_fractions(restricted.rows) == ref_sparse(rows)
     assert is_backend_rational(restricted.rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_families())
+def test_restriction_to_all_or_no_columns(family):
+    ncols, (vecs,) = family
+    vecs = with_dependent_and_zero(vecs)
+    assert restrict_to_columns(vecs, range(ncols), ncols) == span(vecs, ncols)
+    empty = restrict_to_columns(vecs, [], ncols)
+    assert empty.rank == 0 and empty.ncols == 0
