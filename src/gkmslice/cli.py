@@ -6,7 +6,9 @@ inconclusive windowed computation (margin never stabilized), 64 for
 malformed usage or an argument outside the library's domain (a
 ValueError), 70 for an internal error (any other exception; the
 traceback goes to stderr). JSON output is canonical: sorted keys,
-two-space indent, rationals rendered "num/den".
+two-space indent, rationals rendered "num/den". `--version` prints
+the package version and the rational backend in use (gmpy2 or
+Fraction).
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import json
 import sys
 import traceback
 
-from . import arrangement, curves, gkm
+from . import __version__, arrangement, curves, gkm
+from .rationals import HAVE_GMPY2
 from .rootdata import RootDatum, root_datum
 from .series import series_to_json
 
@@ -477,6 +480,10 @@ def cmd_flag_rank1(args) -> int:
 
 def build_parser() -> Parser:
     parser = Parser(prog="gkmslice", description=__doc__)
+    backend = "gmpy2" if HAVE_GMPY2 else "Fraction"
+    parser.add_argument(
+        "--version", action="version", version=f"gkmslice {__version__} (rationals: {backend})"
+    )
     sub = parser.add_subparsers(dest="subcommand", parser_class=Parser)
     sub.required = True
 

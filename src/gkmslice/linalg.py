@@ -2,14 +2,22 @@
 
 Vectors are sparse index->coefficient dicts over an ordered basis of
 hashable keys (monomial exponent tuples, or richer keys for module
-slices). A Subspace stores each row as a primitive integer vector: the
-content gcd is 1, the pivot entry is positive, and the entry at every
-other row's pivot is 0. That is the reduced row echelon form scaled row
-by row, so equal subspaces have identical representations and every
-operation is deterministic. Elimination is fraction-free (cross-
-multiplication, then division by the content, as in Bareiss 1968); the
-only rationals are made at the boundary, where `rows` and `reduce`
-return the canonical RREF over Q.
+slices). All elimination runs on integer vectors through one pair of
+routines:
+
+- `_eliminate` reduces a vector against echelon rows: each row is
+  primitive (content gcd 1) and starts at its pivot, with a positive
+  entry there. The columns the vector hits are taken in increasing
+  order from a heap; the first one without a row becomes the pivot of
+  a new row. Rows are never back-eliminated. Steps are fraction-free
+  (cross-multiplication by the cofactors of the gcd of the two
+  entries), as in Bareiss 1968.
+- `_canonical` makes one back-substitution pass from the highest pivot
+  down and returns the reduced row echelon form scaled row by row, so
+  that equal subspaces have identical representations. A Subspace
+  builds it only when it is first asked for; the only rationals are
+  made at the boundary, where `rows` and `reduce` return the canonical
+  RREF over Q.
 
 Kernels use the augmented-row trick: stack generators with identity
 tags, reduce with pivots on the original columns only, and read the
@@ -22,7 +30,7 @@ is eliminated is supported on the kept columns.
 
 from __future__ import annotations
 
-import bisect
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Hashable, Iterable, Sequence
 
@@ -93,99 +101,154 @@ def _primitive(v: Row) -> Row:
     return v if g == 1 else {j: c // g for j, c in v.items()}
 
 
+def _eliminate(w: Row, rows: dict[int, Row], base: int) -> int | None:
+    """Reduce the integer vector w in place against echelon rows.
+
+    `rows` maps each pivot to a primitive integer row whose first column
+    is that pivot, with a positive entry there. The columns of w below
+    `base` are taken in increasing order from a heap; an elimination
+    step only brings in columns past its pivot, which are pushed as
+    they appear. The first column without a row becomes the pivot: w is
+    made primitive with a positive pivot entry, stored as the new row,
+    and the pivot is returned. Otherwise None is returned and w, a
+    positive multiple of what is left, lies on the columns from `base`
+    on (empty when base covers every column and w was in the span).
+    """
+    heap = [j for j in w if j < base]
+    heapify(heap)
+    while heap:
+        p = heappop(heap)
+        c = w.get(p)
+        if c is None:  # cancelled after it was pushed
+            continue
+        row = rows.get(p)
+        if row is None:
+            g = gcd(*w.values())
+            if c < 0:
+                g = -g
+            if g != 1:
+                for j, x in w.items():
+                    w[j] = x // g
+            rows[p] = w
+            return p
+        a = row[p]
+        g = gcd(a, c)
+        if g != a:
+            m = a // g
+            for j, x in w.items():
+                w[j] = m * x
+        f = c // g
+        for j, x in row.items():
+            y = w.get(j)
+            if y is None:
+                w[j] = -f * x
+                if j < base:
+                    heappush(heap, j)
+            else:
+                y -= f * x
+                if y:
+                    w[j] = y
+                else:
+                    del w[j]
+    return None
+
+
+def _remainder(v: Row, reduced: dict[int, Row]) -> tuple[Row, int]:
+    """(s * remainder of the integer vector v, s) for an integer s > 0.
+
+    `reduced` rows are 0 at every other row's pivot, so only the rows
+    whose pivots lie in the support of v take part, each once. The
+    remainder is a fresh dict.
+    """
+    hits = [p for p in v if p in reduced]
+    if not hits:
+        return dict(v), 1
+    scale = lcm(*[reduced[p][p] for p in hits])
+    w = {j: scale * c for j, c in v.items()}
+    for p in hits:
+        row = reduced[p]
+        f = scale // row[p] * v[p]
+        for j, c in row.items():
+            w[j] = w.get(j, 0) - f * c
+    return {j: c for j, c in w.items() if c}, scale
+
+
+def _canonical(rows: dict[int, Row]) -> dict[int, Row]:
+    """The scaled RREF of echelon rows, by increasing pivot.
+
+    One back-substitution pass from the highest pivot down: a row only
+    holds columns from its own pivot on, so its remainder modulo the
+    rows already reduced is 0 at every later pivot and keeps its own.
+    """
+    reduced: dict[int, Row] = {}
+    for p in sorted(rows, reverse=True):
+        reduced[p] = _primitive(_remainder(rows[p], reduced)[0])
+    return dict(reversed(reduced.items()))
+
+
 class Subspace:
-    """Row space over Q, kept as primitive integer rows in scaled RREF."""
+    """Row space over Q, kept as primitive integer rows in echelon form.
+
+    Rows are added by `_eliminate` and never back-eliminated. The
+    canonical form (the scaled RREF, and the RREF over Q that `rows`
+    returns) is built by `_canonical` on first use by `rows`, `reduce`,
+    `contains`, `==` or `intersect_subspaces`, and cached until the
+    next row is added. Rank-only callers never build it.
+    """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.pivots: list[int] = []  # sorted
-        self._rows: dict[int, Row] = {}  # pivot -> primitive integer row
+        self._ech: dict[int, Row] = {}  # pivot -> primitive integer row
+        self._red: dict[int, Row] | None = {}  # scaled RREF, built on demand
         self._q: list[Row] | None = None  # canonical Q rows, built on demand
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self._ech)
+
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self._ech)
+
+    def _reduced(self) -> dict[int, Row]:
+        if self._red is None:
+            self._red = _canonical(self._ech)
+        return self._red
 
     @property
     def rows(self) -> list[Row]:
         """The canonical RREF over Q, sorted by pivot column."""
         if self._q is None:
-            q = []
-            for p in self.pivots:
-                row = self._rows[p]
-                q.append({j: rat(c, row[p]) for j, c in row.items()})
-            self._q = q
+            self._q = [
+                {j: rat(c, row[p]) for j, c in row.items()} for p, row in self._reduced().items()
+            ]
         return self._q
 
     def copy(self) -> "Subspace":
         out = Subspace(self.ncols)
-        out.pivots = list(self.pivots)
-        out._rows = dict(self._rows)  # rows are replaced, never mutated
+        out._ech = dict(self._ech)  # rows are never mutated once stored
+        out._red = self._red
         return out
 
-    def _remainder(self, v: Row) -> tuple[Row, int]:
-        """(s * remainder of the integer vector v, s) for an integer s > 0.
-
-        A row is 0 at every other row's pivot, so only the rows whose
-        pivots lie in the support of v take part, each once. The
-        remainder is a fresh dict.
-        """
-        rows = self._rows
-        hits = [p for p in v if p in rows]
-        if not hits:
-            return dict(v), 1
-        scale = lcm(*[rows[p][p] for p in hits])
-        w = {j: scale * c for j, c in v.items()}
-        for p in hits:
-            row = rows[p]
-            f = scale // row[p] * v[p]
-            for j, c in row.items():
-                w[j] = w.get(j, 0) - f * c
-        return {j: c for j, c in w.items() if c}, scale
-
-    def _insert(self, v: Row, limit: int | None = None) -> Row | None:
-        """Reduce the integer vector v and add it as a row.
-
-        The pivot is the first column of the remainder below `limit` (any
-        column when None). Returns None when a row was added, else the
-        remainder times a positive integer (empty when v was in the span).
-        """
-        r, _ = self._remainder(v)
-        cols = r if limit is None else [j for j in r if j < limit]
-        if not cols:
-            return r
-        p = min(cols)
-        r = _primitive(r)
-        if r[p] < 0:
-            r = {j: -c for j, c in r.items()}
-        a = r[p]
-        rows = self._rows
-        at = bisect.bisect_left(self.pivots, p)
-        # a row holds no column left of its pivot
-        for q in [q for q in self.pivots[:at] if p in rows[q]]:
-            row = rows[q]
-            c = row[p]
-            new = {j: a * x for j, x in row.items()}
-            for j, x in r.items():
-                new[j] = new.get(j, 0) - c * x
-            rows[q] = _primitive({j: x for j, x in new.items() if x})
-        rows[p] = r
-        self.pivots.insert(at, p)
-        self._q = None
-        return None
+    def _add(self, v: Row) -> bool:
+        """Eliminate the fresh integer vector v; True when it became a row."""
+        if _eliminate(v, self._ech, self.ncols) is None:
+            return False
+        self._red = self._q = None
+        return True
 
     def reduce(self, vec: Row) -> Row:
         """Remainder of vec modulo the row space (fresh dict, exact over Q)."""
         v, den = _integer(vec)
-        w, scale = self._remainder(v)
+        w, scale = _remainder(v, self._reduced())
         return {j: rat(c, den * scale) for j, c in w.items()}
 
     def contains(self, vec: Row) -> bool:
-        return not self._remainder(_integer(vec)[0])[0]
+        return not _remainder(_integer(vec)[0], self._reduced())[0]
 
     def insert(self, vec: Row) -> bool:
         """Add one vector; True when the rank grew."""
-        return self._insert(_integer(vec)[0]) is None
+        return self._add(_integer(vec)[0])
 
     def extend(self, vectors: Iterable[Row]) -> None:
         for v in vectors:
@@ -195,8 +258,8 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ncols == other.ncols
-            and self.pivots == other.pivots
-            and self._rows == other._rows
+            and self._ech.keys() == other._ech.keys()
+            and self._reduced() == other._reduced()
         )
 
 
@@ -210,8 +273,8 @@ def sum_subspaces(a: Subspace, b: Subspace) -> Subspace:
     if a.ncols != b.ncols:
         raise ValueError("column count mismatch")
     out = a.copy()
-    for row in b._rows.values():
-        out._insert(row)
+    for row in b._ech.values():
+        out._add(dict(row))
     return out
 
 
@@ -219,51 +282,55 @@ def _kernel(vectors: Iterable[Row], base: int, count: int) -> Subspace:
     """Eliminate integer vectors on the first `base` columns; keep what
     is left past them.
 
-    Pivots stay on the first base columns, so the rows kept there have
-    independent parts on them, and a vector that reduces to 0 on them
+    The work rows are echelon rows with pivots on the first base
+    columns; they only have to find relations, so they are never put
+    in canonical form. A vector that reduces to 0 on those columns
     leaves a remainder on columns base .. base + count - 1. The span of
-    those remainders is returned as a subspace of Q^count. With the i-th
-    of `count` rows tagged at base + i, it is the relations among them.
+    those remainders is returned as a subspace of Q^count, itself kept
+    in echelon form until its canonical form is asked for. With the
+    i-th of `count` rows tagged at base + i, it is the relations among
+    them.
     """
-    work = Subspace(base + count)
+    work: dict[int, Row] = {}
     out = Subspace(count)
     for v in vectors:
-        rest = work._insert(v, base)
-        if rest:
-            out._insert({j - base: c for j, c in rest.items()})
+        if _eliminate(v, work, base) is None and v:
+            out._add({j - base: c for j, c in v.items()})
     return out
 
 
 def intersect_subspaces(a: Subspace, b: Subspace) -> Subspace:
     """A cap B: sum v_j B_j lies in A iff sum v_j rem_j = 0.
 
-    rem_j is the remainder of the j-th row of B modulo A, one pass each
-    since A is reduced. The larger space plays A. B is reduced and the
-    combination sum v_j B_j has entry v_j * B_j[p_j] at the pivot p_j of
-    B_j, so the reduced relations map to the scaled RREF of the result.
+    rem_j is the remainder of the j-th canonical row of B modulo the
+    canonical rows of A, one pass each. The larger space plays A. B is
+    reduced and the combination sum v_j B_j has entry v_j * B_j[p_j] at
+    the pivot p_j of B_j, so the reduced relations map to the scaled
+    RREF of the result.
     """
     if a.ncols != b.ncols:
         raise ValueError("column count mismatch")
     if a.rank < b.rank:
         a, b = b, a
     ncols = a.ncols
-    brows = [b._rows[p] for p in b.pivots]
+    ared, bred = a._reduced(), b._reduced()
+    bpivots, brows = list(bred), list(bred.values())
 
     def tagged():
         for i, row in enumerate(brows):
-            rem, scale = a._remainder(row)
+            rem, scale = _remainder(row, ared)
             rem[ncols + i] = scale
             yield rem
 
     rel = _kernel(tagged(), ncols, len(brows))
     out = Subspace(ncols)
-    for q in rel.pivots:
+    for q, relrow in rel._reduced().items():
         elem: Row = {}
-        for j, c in rel._rows[q].items():
+        for j, c in relrow.items():
             for k, x in brows[j].items():
                 elem[k] = elem.get(k, 0) + c * x
-        out.pivots.append(b.pivots[q])
-        out._rows[b.pivots[q]] = _primitive({k: x for k, x in elem.items() if x})
+        out._ech[bpivots[q]] = _primitive({k: x for k, x in elem.items() if x})
+    out._red = dict(out._ech)
     return out
 
 
@@ -300,7 +367,3 @@ def restrict_to_columns(vectors: Iterable[Row], keep: Sequence[int], ncols: int)
             yield {order[j]: c for j, c in v.items()}
 
     return _kernel(permuted(), base, len(keep))
-
-
-def rank_of(vectors: Iterable[Row], ncols: int) -> int:
-    return span(vectors, ncols).rank

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from gkmslice import cli
+from gkmslice import __version__, cli
 from gkmslice.arrangement import QuotientResult
 from gkmslice.gkm import class_to_json, perturb_numerator, sl2_classes
+from gkmslice.rationals import HAVE_GMPY2
 
 
 def run_cli(capsys, argv):
@@ -129,6 +130,14 @@ def test_usage_errors_exit_64(capsys):
     code = cli.main(["gkm-graph", "--group", "SL2", "--window", "1:0"])
     capsys.readouterr()
     assert code == 64
+
+
+def test_version_names_the_rational_backend(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0
+    backend = "gmpy2" if HAVE_GMPY2 else "Fraction"
+    assert capsys.readouterr().out == f"gkmslice {__version__} (rationals: {backend})\n"
 
 
 def test_csv_and_dot_and_human_formats(capsys):

@@ -11,7 +11,6 @@ from gkmslice.linalg import (
     basis_for_monomials,
     intersect_subspaces,
     kernel_of_rows,
-    rank_of,
     restrict_to_columns,
     span,
     sum_subspaces,
@@ -70,7 +69,7 @@ def test_grassmann_dimension_identity(va, vb):
 def test_kernel_rank_nullity(vecs):
     # kernel of u -> sum u_j vecs_j lives in Q^len(vecs)
     kern = kernel_of_rows(vecs, NCOLS)
-    assert kern.rank == len(vecs) - rank_of(vecs, NCOLS)
+    assert kern.rank == len(vecs) - span(vecs, NCOLS).rank
     for u in kern.rows:
         combo: dict = {}
         for j, c in u.items():
@@ -256,3 +255,89 @@ def test_restriction_to_all_or_no_columns(family):
     assert restrict_to_columns(vecs, range(ncols), ncols) == span(vecs, ncols)
     empty = restrict_to_columns(vecs, [], ncols)
     assert empty.rank == 0 and empty.ncols == 0
+
+
+# ---- wide inputs: long reduction chains and coefficient growth ----
+
+wide_rational = st.builds(rat, st.integers(-(10**6), 10**6), st.integers(min_value=1, max_value=9))
+wide_entry = st.one_of(st.just(rat(0)), wide_rational)
+multiplier = st.builds(rat, st.integers(-9, 9), st.integers(min_value=1, max_value=9))
+
+
+@st.composite
+def dependent_families(draw, count=1):
+    """Families on 8-12 columns: a few wide rows and many combinations of them.
+
+    The pivot entries of primitive rows built from such data rarely
+    divide the entries they eliminate, so most reduction steps rescale
+    the vector being reduced.
+    """
+    ncols = draw(st.integers(min_value=8, max_value=12))
+    vec = st.lists(wide_entry, min_size=ncols, max_size=ncols).map(
+        lambda vals: {i: c for i, c in enumerate(vals) if c}
+    )
+    families = []
+    for _ in range(count):
+        gens = draw(st.lists(vec, min_size=1, max_size=5))
+        rows = list(gens)
+        for _ in range(draw(st.integers(min_value=2, max_value=8))):
+            mults = draw(st.lists(multiplier, min_size=len(gens), max_size=len(gens)))
+            combo: dict = {}
+            for m, g in zip(mults, gens):
+                for j, c in g.items():
+                    combo[j] = combo.get(j, 0) + m * c
+            rows.insert(draw(st.integers(0, len(rows))), {j: c for j, c in combo.items() if c})
+        families.append(rows)
+    return ncols, families
+
+
+@settings(max_examples=40, deadline=None)
+@given(dependent_families(count=2), st.data())
+def test_wide_dependent_rows_match_fraction_reference(family, data):
+    ncols, (va, vb) = family
+    s = span(va, ncols)
+    rows, pivots = ref_rref(va, ncols)
+    assert as_fractions(s.rows) == ref_sparse(rows)
+    assert s.pivots == pivots
+
+    probe = {j: c for j, c in enumerate(data.draw(st.lists(wide_entry, min_size=ncols, max_size=ncols))) if c}
+    rem = {j: Fraction(*rat_parts(c)) for j, c in probe.items()}
+    for p, row in zip(pivots, rows):
+        f = rem.get(p, 0)
+        for j, c in enumerate(row):
+            rem[j] = rem.get(j, 0) - f * c
+    assert as_fractions([s.reduce(probe)]) == [{j: c for j, c in rem.items() if c}]
+
+    order = data.draw(st.permutations(range(len(va))))
+    assert span(va[::-1], ncols) == s
+    assert span([va[i] for i in order], ncols) == s
+
+    meet = intersect_subspaces(s, span(vb, ncols))
+    rows, _ = ref_rref(ref_intersection(va, vb, ncols), ncols)
+    assert as_fractions(meet.rows) == ref_sparse(rows)
+
+    kern = kernel_of_rows(va, ncols)
+    columns = [{i: v[j] for i, v in enumerate(va) if j in v} for j in range(ncols)]
+    rows, _ = ref_rref(ref_nullspace(columns, len(va)), len(va))
+    assert as_fractions(kern.rows) == ref_sparse(rows)
+
+    keep = data.draw(st.permutations(range(ncols)))[: data.draw(st.integers(0, ncols))]
+    restricted = restrict_to_columns(va, keep, ncols)
+    inside = ref_intersection(va, [{j: Fraction(1)} for j in keep], ncols)
+    rows, _ = ref_rref([{i: v[j] for i, j in enumerate(keep) if j in v} for v in inside], len(keep))
+    assert as_fractions(restricted.rows) == ref_sparse(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dependent_families())
+def test_incremental_inserts_match_span(family):
+    ncols, (vecs,) = family
+    s = Subspace(ncols)
+    for i, v in enumerate(vecs):
+        before = s.rank
+        grew = s.insert(v)
+        assert s.rank == before + grew
+        assert s.rank == len(ref_rref(vecs[: i + 1], ncols)[1])
+        batch = span(vecs[: i + 1], ncols)
+        assert s.rows == batch.rows
+        assert s == batch
