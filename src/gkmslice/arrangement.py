@@ -14,16 +14,22 @@ margin-enlarged box and cutting back, in the same elimination pass, to
 vectors supported inside the window; ranks are monotone in the margin
 and results carry a stabilization status.
 
-Every slice spanned by generators goes through `_generated_slice`: each
-generator times the monomials of the remaining degree, read off the
-ambient basis by shifting the generator's exponents and, for windowed
-slices, cut back to the window.
+Every slice spanned by generators goes through `_generated_slice`. It
+takes generator families and builds the intersection of their spans
+over one ambient basis: each generator times the monomials of the
+remaining degree, from one multiplier table that all families share,
+read off the ambient basis by shifting the generator's exponents. For
+windowed slices each family's span is cut back to the window before the
+spans are intersected. The pair ideal intersection is one family per
+pair, the root ideal intersection one family per positive root; every
+other slice is a single family.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import lcm
 from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -32,7 +38,6 @@ from .linalg import (
     Row,
     SliceBasis,
     Subspace,
-    basis_for_monomials,
     intersect_subspaces,
     kernel_of_rows,
     restrict_to_columns,
@@ -56,6 +61,15 @@ def xy_grading(n: int, convention: str = "algebraic") -> Grading:
         table[f"x{i+1}"] = (1, 0)
         table[f"y{i+1}"] = (0, 1) if convention == "algebraic" else (1, 2)
     return grading_for(xy_ring(n), table)
+
+
+def _xy_slice(
+    n: int, deg: tuple[int, int], convention: str = "algebraic"
+) -> tuple[Ring, Grading, SliceBasis]:
+    """The diagonal ring, its grading and the monomial basis at deg."""
+    rg = xy_ring(n)
+    grading = xy_grading(n, convention)
+    return rg, grading, SliceBasis(slice_monomials(rg, grading, deg))
 
 
 @dataclass
@@ -83,37 +97,44 @@ class SliceResult:
 # ---- slices spanned by generators ----
 
 
+Family = Iterable[tuple[MultiPoly, tuple[int, int]]]  # generators with their degrees
+
+
 def _generated_slice(
     rg: Ring,
     grading: Grading,
     deg: tuple[int, int],
     ambient: SliceBasis,
-    generators: Iterable[tuple[MultiPoly, tuple[int, int]]],
+    families: Iterable[Family],
     gen_window: Mapping | None = None,
     window_keys: Sequence | None = None,
 ) -> SliceResult:
-    """Span of generator * monomial at degree deg, over the ambient basis.
+    """Intersection over families of the span of generator * monomial at deg.
 
     Each generator comes with its degree and is multiplied by every
-    monomial of the remaining degree (inside gen_window when given). A
-    product is the generator's terms with their exponents shifted by the
-    monomial, so its row is read off the ambient index directly. Without
-    a window every product must lie in the ambient basis (KeyError
-    otherwise). With one, products leaving it are dropped and the span is
-    cut back to the vectors supported on window_keys in one elimination.
+    monomial of the remaining degree (inside gen_window when given); the
+    monomials of each remaining degree are listed once for all families.
+    A generator's denominators are cleared once, and a product is its
+    integer terms with the exponents shifted by the monomial, so its row
+    is read off the ambient index directly. Without a window every
+    product must lie in the ambient basis (KeyError otherwise). With
+    one, products leaving it are dropped and each family's span is cut
+    back to the vectors supported on window_keys in one elimination.
+    The family spans are intersected in order.
     """
-    multipliers: dict[tuple[int, int], list[Exp]] = {}  # generators often share a degree
+    multipliers: dict[tuple[int, int], list[Exp]] = {}
     index = ambient.index
 
-    def rows():
-        for gen, gdeg in generators:
+    def rows(family: Family):
+        for gen, gdeg in family:
             rem = (deg[0] - gdeg[0], deg[1] - gdeg[1])
             if rem[0] < 0 or rem[1] < 0:
                 continue
             if rem not in multipliers:
                 multipliers[rem] = slice_monomials(rg, grading, rem, gen_window)
             exps = list(gen.terms)
-            coeffs = list(gen.terms.values())
+            den = lcm(*(int(c.denominator) for c in gen.terms.values()))
+            coeffs = [int(c * den) for c in gen.terms.values()]
             for m in multipliers[rem]:
                 cols = [index.get(tuple(map(add, e, m))) for e in exps]
                 if None not in cols:
@@ -121,17 +142,16 @@ def _generated_slice(
                 elif gen_window is None:
                     raise KeyError(f"product of {gen} and {m} outside slice basis")
 
-    if window_keys is None:
-        return SliceResult(ambient, span(rows(), len(ambient)), rg)
-    space, basis = _restricted(rows(), ambient, window_keys)
+    keep = None if window_keys is None else [index[k] for k in window_keys]
+    space = None
+    for family in families:
+        if keep is None:
+            part = span(rows(family), len(ambient))
+        else:
+            part = restrict_to_columns(rows(family), keep, len(ambient))
+        space = part if space is None else intersect_subspaces(space, part)
+    basis = ambient if window_keys is None else SliceBasis(window_keys)
     return SliceResult(basis, space, rg)
-
-
-def _intersect_all(spaces: Sequence[Subspace]) -> Subspace:
-    out = spaces[0]
-    for space in spaces[1:]:
-        out = intersect_subspaces(out, space)
-    return out
 
 
 def _shift_rows(src: SliceResult, dst: SliceResult, var: str) -> Iterable[Row]:
@@ -149,33 +169,33 @@ def _shift_rows(src: SliceResult, dst: SliceResult, var: str) -> Iterable[Row]:
 # ---- pair ideals and their intersection (polynomial, graded) ----
 
 
+def _pair_family(rg: Ring, i: int, j: int, d: int) -> list:
+    """The generators (x_i - x_j)^e (y_i - y_j)^(d - e) of the pair ideal power."""
+    dx = MultiPoly.gen(rg, f"x{i}") - MultiPoly.gen(rg, f"x{j}")
+    dy = MultiPoly.gen(rg, f"y{i}") - MultiPoly.gen(rg, f"y{j}")
+    return [(dx**e * dy ** (d - e), (e, d - e)) for e in range(d + 1)]
+
+
 def pair_ideal_slice(n: int, pair: tuple[int, int], d: int, deg: tuple[int, int]) -> SliceResult:
     """Slice of (x_i - x_j, y_i - y_j)^d at one bidegree (1-based pair)."""
-    rg = xy_ring(n)
-    grading = xy_grading(n)
     i, j = pair
     if not (1 <= i < j <= n):
         raise ValueError("pair must satisfy 1 <= i < j <= n")
-    xi, xj = MultiPoly.gen(rg, f"x{i}"), MultiPoly.gen(rg, f"x{j}")
-    yi, yj = MultiPoly.gen(rg, f"y{i}"), MultiPoly.gen(rg, f"y{j}")
-    basis = basis_for_monomials(slice_monomials(rg, grading, deg))
-    generators = [((xi - xj) ** e * (yi - yj) ** (d - e), (e, d - e)) for e in range(d + 1)]
-    return _generated_slice(rg, grading, deg, basis, generators)
+    rg, grading, basis = _xy_slice(n, deg)
+    return _generated_slice(rg, grading, deg, basis, [_pair_family(rg, i, j, d)])
 
 
 def full_slice(n: int, deg: tuple[int, int]) -> SliceResult:
-    rg = xy_ring(n)
-    grading = xy_grading(n)
-    basis = basis_for_monomials(slice_monomials(rg, grading, deg))
-    return _generated_slice(rg, grading, deg, basis, [(MultiPoly.one(rg), (0, 0))])
+    rg, grading, basis = _xy_slice(n, deg)
+    return _generated_slice(rg, grading, deg, basis, [[(MultiPoly.one(rg), (0, 0))]])
 
 
 def jd_slice(n: int, d: int, deg: tuple[int, int], method: str = "spanning") -> SliceResult:
     """Slice of the intersection over all pairs of the d-th pair ideal powers.
 
-    method "spanning" intersects the spanned pair slices; "vanishing"
-    solves the linearized order-d vanishing conditions instead (same
-    subspace, independent pipeline).
+    method "spanning" intersects the spans of the pair ideal generators,
+    one family per pair; "vanishing" solves the linearized order-d
+    vanishing conditions instead (same subspace, independent pipeline).
     """
     if n < 2:
         raise ValueError(f"n must be at least 2 (one pair of points), got {n}")
@@ -187,12 +207,11 @@ def jd_slice(n: int, d: int, deg: tuple[int, int], method: str = "spanning") -> 
         return vanishing_slice(n, d, deg)
     if method != "spanning":
         raise ValueError(f"unknown method {method!r}")
-    parts = [
-        pair_ideal_slice(n, (i, j), d, deg)
-        for i, j in itertools.combinations(range(1, n + 1), 2)
+    rg, grading, basis = _xy_slice(n, deg)
+    families = [
+        _pair_family(rg, i, j, d) for i, j in itertools.combinations(range(1, n + 1), 2)
     ]
-    space = _intersect_all([part.space for part in parts])
-    return SliceResult(parts[0].basis, space, parts[0].ring)
+    return _generated_slice(rg, grading, deg, basis, families)
 
 
 # ---- order-of-vanishing oracle along pairwise diagonals ----
@@ -235,9 +254,7 @@ def symbolic_power_oracle(f: MultiPoly, n: int, d: int) -> bool:
 
 def vanishing_slice(n: int, d: int, deg: tuple[int, int]) -> SliceResult:
     """Subspace cut out by the oracle's linear conditions at one bidegree."""
-    rg = xy_ring(n)
-    grading = xy_grading(n)
-    basis = basis_for_monomials(slice_monomials(rg, grading, deg))
+    rg, _, basis = _xy_slice(n, deg)
     cond_index: dict = {}
     rows = [dict() for _ in range(len(basis))]
     for pidx, pair in enumerate(itertools.combinations(range(1, n + 1), 2)):
@@ -294,9 +311,7 @@ def alternant(n: int, exp: Exp) -> MultiPoly:
 
 def alternant_basis(n: int, deg: tuple[int, int]) -> list[MultiPoly]:
     """Independent alternants spanning the sign-isotypic part of one slice."""
-    rg = xy_ring(n)
-    grading = xy_grading(n)
-    basis = basis_for_monomials(slice_monomials(rg, grading, deg))
+    _, _, basis = _xy_slice(n, deg)
     space = Subspace(len(basis))
     out = []
     for exp in basis.keys:
@@ -316,9 +331,7 @@ def alternant_slice(n: int, d: int, deg: tuple[int, int]) -> SliceResult:
     """
     if d == 0:
         return full_slice(n, deg)
-    rg = xy_ring(n)
-    grading = xy_grading(n)
-    basis = basis_for_monomials(slice_monomials(rg, grading, deg))
+    rg, grading, basis = _xy_slice(n, deg)
     pool = [
         (p, (a, b))
         for a in range(deg[0] + 1)
@@ -337,7 +350,7 @@ def alternant_slice(n: int, d: int, deg: tuple[int, int]) -> SliceResult:
                 prod = prod * p
             yield prod, pdeg
 
-    return _generated_slice(rg, grading, deg, basis, products())
+    return _generated_slice(rg, grading, deg, basis, [products()])
 
 
 # ---- sign-isotypic quotient table (Catalan numbers) ----
@@ -491,7 +504,7 @@ def _margin_box(
     reaches, and the generator window enlarged by margin reaches."""
     reach = max((max(abs(c) for c in cor) for cor in rd.coroots), default=1)
     big = _window_dict(_enlarged(bounds, (margin + d) * reach))
-    ambient = basis_for_monomials(slice_monomials(rg, grading, (ydeg, 0), big))
+    ambient = SliceBasis(slice_monomials(rg, grading, (ydeg, 0), big))
     return ambient, _window_dict(_enlarged(bounds, margin * reach))
 
 
@@ -502,16 +515,6 @@ def coroot_monomial(rd: RootDatum, rg: Ring, root_index: int) -> MultiPoly:
     for i, c in enumerate(cor):
         exp[rg.index(f"x{i+1}")] = c
     return MultiPoly.monomial(rg, tuple(exp))
-
-
-def _restricted(
-    rows: Iterable[dict],
-    ambient: SliceBasis,
-    window_keys: Sequence,
-) -> tuple[Subspace, SliceBasis]:
-    """The span of rows, cut down to vectors supported on window_keys."""
-    keep = [ambient.index[k] for k in window_keys]
-    return restrict_to_columns(rows, keep, len(ambient)), SliceBasis(window_keys)
 
 
 def _stabilize(compute: Callable[[int], SliceResult], margin0: int, tries: int = 4) -> SliceResult:
@@ -532,7 +535,11 @@ def _stabilize(compute: Callable[[int], SliceResult], margin0: int, tries: int =
     return prev
 
 
-def _check_lattice_degrees(d: int, ydeg: int) -> None:
+def _check_lattice_degrees(
+    rd: RootDatum, d: int, ydeg: int, bounds: Sequence[tuple[int, int]]
+) -> None:
+    if len(bounds) != rd.rank:
+        raise ValueError(f"need {rd.rank} window bounds, got {len(bounds)}")
     if d < 0:
         raise ValueError(f"power d must be >= 0, got {d}")
     if ydeg < 0:
@@ -549,7 +556,7 @@ def jd_root_slice(
     """Windowed slice of the intersection over roots of (y_alpha, 1-x^coroot)^d."""
     if rd.npos == 0:
         raise ValueError("root datum has no positive roots")
-    _check_lattice_degrees(d, ydeg)
+    _check_lattice_degrees(rd, d, ydeg, bounds)
     rg = lattice_ring(rd)
     grading = lattice_grading(rd, rg)
     margin0 = 2 * d if margin is None else margin
@@ -565,11 +572,9 @@ def jd_root_slice(
 
     def compute(m: int) -> SliceResult:
         ambient, gen_window = _margin_box(rd, rg, grading, ydeg, bounds, d, m)
-        parts = [
-            _generated_slice(rg, grading, (ydeg, 0), ambient, gens, gen_window, window_keys)
-            for gens in per_root
-        ]
-        return SliceResult(parts[0].basis, _intersect_all([p.space for p in parts]), rg)
+        return _generated_slice(
+            rg, grading, (ydeg, 0), ambient, per_root, gen_window, window_keys
+        )
 
     return _stabilize(compute, margin0)
 
@@ -634,7 +639,7 @@ def ordinary_homology_quotient_slice(
     d_alpha differentiates along the coroot: sum_i <basis_root_i,
     coroot> partial_{y_i}.
     """
-    _check_lattice_degrees(d, ydeg)
+    _check_lattice_degrees(rd, d, ydeg, bounds)
     rg = lattice_ring(rd)
     grading = lattice_grading(rd, rg)
     margin0 = 2 * d if margin is None else margin
@@ -653,7 +658,7 @@ def ordinary_homology_quotient_slice(
     def compute(m: int) -> SliceResult:
         ambient, gen_window = _margin_box(rd, rg, grading, ydeg, bounds, d, m)
         return _generated_slice(
-            rg, grading, (ydeg, 0), ambient, generators, gen_window, window_keys
+            rg, grading, (ydeg, 0), ambient, [generators], gen_window, window_keys
         )
 
     sub = _stabilize(compute, margin0)
@@ -707,8 +712,9 @@ def flag_rank1_module_slice(bounds: tuple[int, int], margin: int | None = None) 
         for a in range(lo - m, hi + m + 1):
             rows.append(ambient.vector({(a, "e"): ONE, (a, "s"): -ONE}))
             rows.append(ambient.vector({(a, "e"): ONE, (a + 1, "e"): -ONE}))
-        space, basis = _restricted(rows, ambient, window_keys)
-        return SliceResult(basis, space, ring(["x"], laurent=["x"]), margin=m)
+        keep = [ambient.index[k] for k in window_keys]
+        space = restrict_to_columns(rows, keep, len(ambient))
+        return SliceResult(SliceBasis(window_keys), space, ring(["x"], laurent=["x"]), margin=m)
 
     sub = _stabilize(compute, margin0)
     return FlagModuleResult(

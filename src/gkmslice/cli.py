@@ -22,7 +22,7 @@ import traceback
 
 from . import __version__, arrangement, curves, gkm
 from .rationals import HAVE_GMPY2
-from .rootdata import RootDatum, root_datum
+from .rootdata import root_datum
 from .series import series_to_json
 
 EXIT_PASS = 0
@@ -30,10 +30,6 @@ EXIT_MISMATCH = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
-
-
-class UsageError(Exception):
-    pass
 
 
 class Parser(argparse.ArgumentParser):
@@ -60,26 +56,19 @@ def parse_window(text: str, dims: int) -> list[tuple[int, int]]:
     for chunk in text.split(","):
         parts = chunk.split(":")
         if len(parts) != 2:
-            raise UsageError(f"window range must be lo:hi, got {chunk!r}")
+            raise ValueError(f"window range must be lo:hi, got {chunk!r}")
         try:
             lo, hi = int(parts[0]), int(parts[1])
         except ValueError:
-            raise UsageError(f"window bounds must be integers, got {chunk!r}")
+            raise ValueError(f"window bounds must be integers, got {chunk!r}") from None
         if lo > hi:
-            raise UsageError(f"empty window range {chunk!r}")
+            raise ValueError(f"empty window range {chunk!r}")
         ranges.append((lo, hi))
     if len(ranges) == 1 and dims > 1:
         ranges = ranges * dims
     if len(ranges) != dims:
-        raise UsageError(f"window needs {dims} ranges, got {len(ranges)}")
+        raise ValueError(f"window needs {dims} ranges, got {len(ranges)}")
     return ranges
-
-
-def get_root_datum(label: str, n: int | None) -> RootDatum:
-    try:
-        return root_datum(label, n)
-    except ValueError as exc:
-        raise UsageError(str(exc))
 
 
 def jsonable(value):
@@ -115,7 +104,7 @@ def emit(args, text: str) -> None:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise UsageError(f"cannot write {args.output}: {exc.strerror}") from None
+            raise ValueError(f"cannot write {args.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -134,9 +123,9 @@ def deg_key(deg: tuple[int, int]) -> str:
 
 def cmd_jd_series(args) -> int:
     if args.group.strip().upper() != "GL":
-        raise UsageError("jd-series supports --group GL (pointwise diagonals)")
+        raise ValueError("jd-series supports --group GL (pointwise diagonals)")
     if args.maxdeg < 0:
-        raise UsageError(f"--maxdeg must be >= 0, got {args.maxdeg}")
+        raise ValueError(f"--maxdeg must be >= 0, got {args.maxdeg}")
     degs = [
         (a, b)
         for total in range(args.maxdeg + 1)
@@ -225,7 +214,7 @@ def build_graph(args) -> gkm.GkmGraph:
     if label == "FLAG":
         window = parse_window(args.window or "-3:3", 1)
         return gkm.build_flag_rank1_graph(window[0], d=args.d)
-    rd = get_root_datum(args.group, getattr(args, "n", None))
+    rd = root_datum(args.group, getattr(args, "n", None))
     window = parse_window(args.window or "-8:8", rd.rank)
     return gkm.build_gkm_graph(rd, args.d, window)
 
@@ -264,7 +253,7 @@ def named_class(graph: gkm.GkmGraph, name: str, d: int) -> dict:
             except ValueError:
                 break
             return gkm.sl2_classes(d, k) if kind == "b" else gkm.flag_rank1_classes(kind, k)
-    raise UsageError(f"unknown class name {name!r} (use b<k>, pair<k>, step<k>, constant)")
+    raise ValueError(f"unknown class name {name!r} (use b<k>, pair<k>, step<k>, constant)")
 
 
 def cmd_gkm_verify(args) -> int:
@@ -274,14 +263,14 @@ def cmd_gkm_verify(args) -> int:
             with open(args.classes_file, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         except OSError as exc:
-            raise UsageError(f"cannot read {args.classes_file}: {exc.strerror}") from None
+            raise ValueError(f"cannot read {args.classes_file}: {exc.strerror}") from None
         cls = gkm.class_from_json(data, graph.ring)
         name = args.classes_file
     elif args.cls:
         cls = named_class(graph, args.cls, args.d)
         name = args.cls
     else:
-        raise UsageError("gkm-verify needs --class or --classes-file")
+        raise ValueError("gkm-verify needs --class or --classes-file")
     report = gkm.verify_residue_conditions(graph, cls)
     status = "PASS" if report.ok else "FAIL"
     if args.format == "json":
@@ -318,7 +307,7 @@ def cmd_msv(args) -> int:
     key = args.curve.strip().lower().replace(" ", "")
     name = CURVE_NAMES.get(key)
     if name is None:
-        raise UsageError(f"unknown curve {args.curve!r} (use 3,3 / 2,4 / 2,2 or a name)")
+        raise ValueError(f"unknown curve {args.curve!r} (use 3,3 / 2,4 / 2,2 or a name)")
     if name == "three-lines":
         spec = curves.three_lines_spec()
         series = curves.msv_assemble(spec)
@@ -355,10 +344,7 @@ def cmd_msv(args) -> int:
 
 
 def cmd_conjecture_check(args) -> int:
-    try:
-        report = curves.conjecture_vs_msv(args.n, args.d, order=args.order)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    report = curves.conjecture_vs_msv(args.n, args.d, order=args.order)
     first = None
     if report.mismatches:
         deg, coeff, dim = report.mismatches[0]
@@ -391,7 +377,7 @@ def cmd_compare_knot(args) -> int:
     key = args.link.strip().upper().replace(" ", "")
     name = LINK_NAMES.get(key)
     if name is None:
-        raise UsageError(f"unknown link {args.link!r} (use T24 or T33)")
+        raise ValueError(f"unknown link {args.link!r} (use T24 or T33)")
     report = curves.knot_compare(name)
     normalization = f"T^{report.shift}" if report.shift is not None else None
     payload = {
@@ -415,7 +401,7 @@ def cmd_compare_knot(args) -> int:
 
 
 def cmd_ordinary_quotient(args) -> int:
-    rd = get_root_datum(args.group, args.n)
+    rd = root_datum(args.group, args.n)
     window = parse_window(args.window or "0:1", rd.rank)
     result = arrangement.ordinary_homology_quotient_slice(
         rd, args.d, args.ydeg, window, margin=args.margin
@@ -571,7 +557,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"gkmslice: error: {exc}\n")
         return EXIT_USAGE
     except Exception:

@@ -20,10 +20,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .arrangement import _derivation_kernel, _generated_slice, xy_grading, xy_ring
-from .linalg import SliceBasis, Subspace, basis_for_monomials, intersect_subspaces, sum_subspaces
+from .arrangement import _derivation_kernel, _generated_slice, _xy_slice, xy_ring
+from .linalg import Subspace, intersect_subspaces, sum_subspaces
 from .rationals import rat
-from .rings import MultiPoly, Ring, ring, slice_monomials
+from .rings import MultiPoly, Ring, ring
 from .series import RationalSeries, equal_up_to_monomial
 
 QL_RING = ring(["q", "L"])
@@ -231,9 +231,7 @@ def pair_diff_kernel(n: int, i: int, j: int, k: int, ydeg: int) -> list[MultiPol
 
 def quotient_relations_slice(n: int, d: int, deg: tuple[int, int]) -> Subspace:
     """Relation subspace at one curve bidegree (q-degree, t-degree)."""
-    rg = xy_ring(n)
-    curve = xy_grading(n, "curve")
-    basis = basis_for_monomials(slice_monomials(rg, curve, deg))
+    rg, curve, basis = _xy_slice(n, deg, "curve")
     if deg[1] % 2:
         return Subspace(len(basis))
     ydeg = deg[1] // 2
@@ -246,17 +244,13 @@ def quotient_relations_slice(n: int, d: int, deg: tuple[int, int]) -> Subspace:
             shell = (xi - xj) ** k
             for K in pair_diff_kernel(n, i, j, k, ydeg):
                 generators.append((shell * K, (k + ydeg, deg[1])))
-    return _generated_slice(rg, curve, deg, basis, generators).space
+    return _generated_slice(rg, curve, deg, basis, [generators]).space
 
 
 def quotient_hilbert_slice(n: int, d: int, deg: tuple[int, int]) -> int:
     """Dimension of the conjectural quotient at one curve bidegree."""
-    rg = xy_ring(n)
-    curve = xy_grading(n, "curve")
-    ambient = slice_monomials(rg, curve, deg)
-    if not ambient:
-        return 0
-    return len(ambient) - quotient_relations_slice(n, d, deg).rank
+    rel = quotient_relations_slice(n, d, deg)
+    return rel.ncols - rel.rank
 
 
 @dataclass
@@ -308,20 +302,17 @@ def conjecture_vs_msv(n: int, d: int, order: int = 6) -> ConjectureReport:
 # ---- the three-plane relation family (n = 3, d = 1) ----
 
 
-def _u_subspace(which: int, deg: tuple[int, int], basis: SliceBasis) -> Subspace:
-    """U_i = (x_j - x_k) Q[x1,x2,x3, y_j + y_k, y_i] sliced at a curve bidegree."""
-    rg = xy_ring(3)
-    if deg[1] % 2:
-        return Subspace(len(basis))
+def _u_family(rg: Ring, which: int, deg: tuple[int, int]) -> list:
+    """Generators of U_i = (x_j - x_k) Q[x1,x2,x3, y_j + y_k, y_i] at an even
+    curve bidegree."""
     ydeg = deg[1] // 2
     j, k = [a for a in (1, 2, 3) if a != which]
     xj, xk = MultiPoly.gen(rg, f"x{j}"), MultiPoly.gen(rg, f"x{k}")
     ysum = MultiPoly.gen(rg, f"y{j}") + MultiPoly.gen(rg, f"y{k}")
     yi = MultiPoly.gen(rg, f"y{which}")
-    generators = [
+    return [
         ((xj - xk) * ysum**p * yi ** (ydeg - p), (1 + ydeg, deg[1])) for p in range(ydeg + 1)
     ]
-    return _generated_slice(rg, xy_grading(3, "curve"), deg, basis, generators).space
 
 
 @dataclass
@@ -377,8 +368,6 @@ def grdim_family_check(order: int = 5) -> FamilyReport:
     dim(U_1 + U_2 + U_3) against their closed forms through the given
     q-order, plus the exact rank chain identity linking them.
     """
-    rg = xy_ring(3)
-    curve = xy_grading(3, "curve")
     series = {k: s.expand(order, ["q"]).terms for k, s in _family_series().items()}
     report = FamilyReport(order=order, ok=True)
 
@@ -389,10 +378,11 @@ def grdim_family_check(order: int = 5) -> FamilyReport:
     for N in range(order + 1):
         for M in range(0, 2 * N + 1, 2):
             deg = (N, M)
-            basis = basis_for_monomials(slice_monomials(rg, curve, deg))
-            u1 = _u_subspace(1, deg, basis)
-            u2 = _u_subspace(2, deg, basis)
-            u3 = _u_subspace(3, deg, basis)
+            rg, curve, basis = _xy_slice(3, deg, "curve")
+            u1, u2, u3 = (
+                _generated_slice(rg, curve, deg, basis, [_u_family(rg, i, deg)]).space
+                for i in (1, 2, 3)
+            )
             u12 = intersect_subspaces(u1, u2)
             s12 = sum_subspaces(u1, u2)
             u12_3 = intersect_subspaces(s12, u3)

@@ -35,7 +35,7 @@ from math import gcd, lcm
 from typing import Hashable, Iterable, Sequence
 
 from .rationals import rat
-from .rings import MultiPoly, Ring, monomial_key
+from .rings import MultiPoly, Ring
 
 Row = dict  # int -> rational (or int inside Subspace), nonzero entries only
 
@@ -79,10 +79,6 @@ class SliceBasis:
 
     def poly(self, ring: Ring, vec: Row) -> MultiPoly:
         return MultiPoly(ring, {self.keys[i]: c for i, c in vec.items()})
-
-
-def basis_for_monomials(exps: Iterable[tuple]) -> SliceBasis:
-    return SliceBasis(sorted(exps, key=monomial_key))
 
 
 def _integer(vec: Row) -> tuple[Row, int]:

@@ -4,10 +4,13 @@ import pytest
 
 from gkmslice.arrangement import (
     _generated_slice,
+    _margin_box,
+    _window_dict,
     alternant,
     alternant_slice,
     anti_invariant_inclusion_check,
     catalan_quotient,
+    coroot_monomial,
     flag_pair_element,
     flag_rank1_module_slice,
     flag_step_element,
@@ -15,13 +18,16 @@ from gkmslice.arrangement import (
     full_slice,
     jd_root_slice,
     jd_slice,
+    lattice_grading,
+    lattice_ring,
     ordinary_homology_quotient_slice,
     pair_ideal_slice,
     symbolic_power_oracle,
     vanishing_slice,
     xy_ring,
 )
-from gkmslice.linalg import SliceBasis, basis_for_monomials
+from gkmslice.gkm import y_names
+from gkmslice.linalg import SliceBasis, intersect_subspaces
 from gkmslice.rings import MultiPoly, grading_for, ring, slice_monomials
 from gkmslice.rootdata import root_datum
 
@@ -39,15 +45,15 @@ def test_generated_slice_product_outside_basis():
     grading = grading_for(rg, {"x": (1, 0), "y": (1, 0)})
     x = MultiPoly.gen(rg, "x")
     with pytest.raises(KeyError):
-        _generated_slice(rg, grading, (2, 0), SliceBasis([(2, 0)]), [(x, (1, 0))])
+        _generated_slice(rg, grading, (2, 0), SliceBasis([(2, 0)]), [[(x, (1, 0))]])
     # windowed: (1 - x) * x leaves the box x^-1..x and is dropped
     rg = ring(["x", "y"], laurent=["x"])
     grading = grading_for(rg, {"y": (1, 0)})
     box = {"x": (-1, 1)}
-    ambient = basis_for_monomials(slice_monomials(rg, grading, (0, 0), box))
+    ambient = SliceBasis(slice_monomials(rg, grading, (0, 0), box))
     one_minus_x = MultiPoly.one(rg) - MultiPoly.gen(rg, "x")
     window = [(0, 0), (1, 0)]
-    out = _generated_slice(rg, grading, (0, 0), ambient, [(one_minus_x, (0, 0))], box, window)
+    out = _generated_slice(rg, grading, (0, 0), ambient, [[(one_minus_x, (0, 0))]], box, window)
     assert out.row_polys() == [one_minus_x]
 
 
@@ -86,6 +92,47 @@ def test_spanning_matches_vanishing_pipeline(n, d):
             lhs = jd_slice(n, d, deg, method="spanning")
             rhs = vanishing_slice(n, d, deg)
             assert lhs.space == rhs.space, (n, d, deg)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_spanning_matches_intersected_pair_slices(d):
+    # one multi-family build against the pair slices intersected one by one
+    for total in range(0, 6):
+        for a in range(total + 1):
+            deg = (a, total - a)
+            pairs = [pair_ideal_slice(3, pair, d, deg).space for pair in [(1, 2), (1, 3), (2, 3)]]
+            folded = intersect_subspaces(intersect_subspaces(pairs[0], pairs[1]), pairs[2])
+            assert jd_slice(3, d, deg).space == folded, (d, deg)
+
+
+@pytest.mark.parametrize(
+    "group,d,ydeg,window",
+    [("GL3", 1, 2, (0, 1)), ("B2", 1, 2, (-1, 1)), ("G2", 1, 1, (-2, 2))],
+    ids=["GL3", "B2", "G2"],
+)
+def test_windowed_families_match_single_family_intersections(group, d, ydeg, window):
+    rd = root_datum(group)
+    rg = lattice_ring(rd)
+    grading = lattice_grading(rd, rg)
+    bounds = [window] * rd.rank
+    window_keys = slice_monomials(rg, grading, (ydeg, 0), _window_dict(bounds))
+    ambient, gen_window = _margin_box(rd, rg, grading, ydeg, bounds, d, 2 * d)
+    families = []
+    for i in range(rd.npos):
+        y_alpha = rd.root_form(rg, i, y_names(rd.yrank))
+        one_minus = MultiPoly.one(rg) - coroot_monomial(rd, rg, i)
+        families.append([(y_alpha**e * one_minus ** (d - e), (e, 0)) for e in range(d + 1)])
+
+    def build(fams):
+        return _generated_slice(rg, grading, (ydeg, 0), ambient, fams, gen_window, window_keys)
+
+    together = build(families)
+    one_by_one = build(families[:1]).space
+    for family in families[1:]:
+        one_by_one = intersect_subspaces(one_by_one, build([family]).space)
+    assert together.basis.keys == tuple(window_keys)
+    assert together.space == one_by_one
+    assert 0 < together.rank < len(window_keys)
 
 
 @pytest.mark.parametrize("n,d", [(2, 1), (2, 2), (3, 1)])
@@ -178,6 +225,15 @@ def test_ordinary_quotient(group, d, ydeg, window, expected):
     assert got == expected
     if group == "GL2":
         assert [str(p) for p in result.submodule.row_polys()] == ["x2 - x1"]
+
+
+@pytest.mark.parametrize("build", [jd_root_slice, ordinary_homology_quotient_slice])
+def test_lattice_slices_reject_wrong_window_count(build):
+    rd = root_datum("GL2")
+    with pytest.raises(ValueError, match="need 2 window bounds, got 3"):
+        build(rd, 1, 0, [(0, 1), (0, 1), (7, 9)])
+    with pytest.raises(ValueError, match="need 2 window bounds, got 1"):
+        build(rd, 1, 0, [(0, 1)])
 
 
 def test_flag_module_window():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gkmslice.linalg import (
     SliceBasis,
     Subspace,
-    basis_for_monomials,
     intersect_subspaces,
     kernel_of_rows,
     restrict_to_columns,
@@ -91,7 +90,7 @@ def test_restrict_to_columns_is_projection_intersection():
 
 def test_slice_basis_round_trip():
     rg = ring(["x", "y"])
-    basis = basis_for_monomials([(0, 0), (1, 0), (0, 1)])
+    basis = SliceBasis([(0, 0), (1, 0), (0, 1)])
     p = MultiPoly.gen(rg, "x") - MultiPoly.gen(rg, "y") * 2
     vec = basis.vector_from_poly(p)
     assert basis.poly(rg, vec) == p
