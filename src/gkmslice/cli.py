@@ -241,8 +241,12 @@ def cmd_gkm_graph(args) -> int:
 
 
 def named_class(graph: gkm.GkmGraph, name: str, d: int) -> dict:
-    """Resolve a class name: b<k> on lattice graphs, pair<k>/step<k>/constant
-    on the flag graph."""
+    """Resolve a class name: b<k> on rank-one lattice graphs, pair<k>/step<k>
+    on the flag graph, constant on any graph.
+
+    A named class whose vertices or ring do not fit the graph is a usage
+    error, not a failed verification.
+    """
     key = name.strip().lower()
     if key == "constant":
         return gkm.flag_constant_class(graph)
@@ -252,7 +256,14 @@ def named_class(graph: gkm.GkmGraph, name: str, d: int) -> dict:
                 k = int(key[len(kind):])
             except ValueError:
                 break
-            return gkm.sl2_classes(d, k) if kind == "b" else gkm.flag_rank1_classes(kind, k)
+            if kind == "b":
+                if graph.ring != gkm.weight_ring(1) or any(len(v) != 1 for v in graph.vertices):
+                    raise ValueError(f"class {name!r} needs a rank-one lattice graph, "
+                                     f"not {graph.label}")
+                return gkm.sl2_classes(d, k)
+            if any(not isinstance(v[-1], str) for v in graph.vertices):
+                raise ValueError(f"class {name!r} needs the FLAG graph, not {graph.label}")
+            return gkm.flag_rank1_classes(kind, k)
     raise ValueError(f"unknown class name {name!r} (use b<k>, pair<k>, step<k>, constant)")
 
 

@@ -229,22 +229,34 @@ def pair_diff_kernel(n: int, i: int, j: int, k: int, ydeg: int) -> list[MultiPol
     return _derivation_kernel(xy_ring(n), ynames, {f"y{i}": 1, f"y{j}": -1}, k, ydeg)
 
 
-def quotient_relations_slice(n: int, d: int, deg: tuple[int, int]) -> Subspace:
-    """Relation subspace at one curve bidegree (q-degree, t-degree)."""
-    rg, curve, basis = _xy_slice(n, deg, "curve")
-    if deg[1] % 2:
-        return Subspace(len(basis))
-    ydeg = deg[1] // 2
-    generators = []
+def _relation_family(n: int, d: int, tdeg: int, qmax: int) -> list:
+    """Relation generators (x_i - x_j)^k K of t-degree tdeg and q-degree
+    k + ydeg <= qmax, K running over pair_diff_kernel(n, i, j, k, ydeg)
+    with ydeg = tdeg / 2; there are none at odd tdeg."""
+    ydeg, odd = divmod(tdeg, 2)
+    if odd:
+        return []
+    rg = xy_ring(n)
+    family = []
     for i, j in itertools.combinations(range(1, n + 1), 2):
         xi, xj = MultiPoly.gen(rg, f"x{i}"), MultiPoly.gen(rg, f"x{j}")
-        for k in range(1, d + 1):
-            if deg[0] - k - ydeg < 0:
-                continue
+        for k in range(1, min(d, qmax - ydeg) + 1):
             shell = (xi - xj) ** k
             for K in pair_diff_kernel(n, i, j, k, ydeg):
-                generators.append((shell * K, (k + ydeg, deg[1])))
-    return _generated_slice(rg, curve, deg, basis, [generators]).space
+                family.append((shell * K, (k + ydeg, tdeg)))
+    return family
+
+
+def _relation_slice(n: int, deg: tuple[int, int], family: list) -> Subspace:
+    """Span of a relation family at one curve bidegree; generators of
+    higher q-degree contribute nothing."""
+    rg, curve, basis = _xy_slice(n, deg, "curve")
+    return _generated_slice(rg, curve, deg, basis, [family]).space
+
+
+def quotient_relations_slice(n: int, d: int, deg: tuple[int, int]) -> Subspace:
+    """Relation subspace at one curve bidegree (q-degree, t-degree)."""
+    return _relation_slice(n, deg, _relation_family(n, d, deg[1], deg[0]))
 
 
 def quotient_hilbert_slice(n: int, d: int, deg: tuple[int, int]) -> int:
@@ -280,6 +292,12 @@ def conjecture_vs_msv(n: int, d: int, order: int = 6) -> ConjectureReport:
 
     The series substitutes L -> t^2; every bidegree (N, M) with N <=
     order and M <= 2N is compared. Mismatches are collected, not raised.
+
+    The relations depend on N only through which generators fit, so the
+    t-degree M runs outside: the relation family of y-degree M/2 is built
+    once, with every generator some N <= order can hold, and spanned at
+    each N (odd M has no relations). Only one family is alive at a time;
+    table and mismatches are then filled in (N, M) order.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -287,9 +305,16 @@ def conjecture_vs_msv(n: int, d: int, order: int = 6) -> ConjectureReport:
     in_t = series.map_monomials([[1, 0], [0, 2]], QT_RING)
     expansion = in_t.expand(order, ["q"]).terms
     report = ConjectureReport(n=n, d=d, order=order, reference_name=name, ok=True)
+    dims = {}
+    for M in range(2 * order + 1):
+        family = _relation_family(n, d, M, order)
+        for N in range((M + 1) // 2, order + 1):
+            rel = _relation_slice(n, (N, M), family)
+            dims[(N, M)] = rel.ncols - rel.rank
+        del family
     for N in range(order + 1):
         for M in range(2 * N + 1):
-            dim = quotient_hilbert_slice(n, d, (N, M))
+            dim = dims[(N, M)]
             coeff = expansion.get((N, M), rat(0))
             if dim:
                 report.table[(N, M)] = dim

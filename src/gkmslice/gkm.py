@@ -11,11 +11,19 @@ affine-linear factors. Verification checks the two residue conditions:
 every pole is simple and parallel to an incident edge weight, and for
 each character chi the residues along chi = 0 sum to zero on every
 connected component of the chi-subgraph.
+
+Each graph computes the primitive directions of its edge weights once
+(GkmGraph.directions) and each verification computes those of the
+class's denominator factors once, next to their coefficient vectors. A
+residue then needs no further direction: a factor f off the wall chi = 0
+restricts to the coefficient vector f - (f_p / chi_p) chi, where p is
+chi's first supported variable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb, gcd
 from typing import Any, Mapping, Sequence
 
@@ -41,6 +49,11 @@ class GkmGraph:
     ring: Ring  # (y..., t)
     vertices: tuple[VertexKey, ...]
     edges: tuple[tuple[VertexKey, VertexKey, MultiPoly], ...]
+
+    @cached_property
+    def directions(self) -> tuple[tuple[int, ...], ...]:
+        """Primitive direction of each edge weight, in edge order."""
+        return tuple(primitive_direction(w) for _, _, w in self.edges)
 
 
 def lattice_window(bounds: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
@@ -150,42 +163,52 @@ def primitive_direction(p: MultiPoly) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def parallel(p: MultiPoly, q: MultiPoly) -> bool:
-    try:
-        return primitive_direction(p) == primitive_direction(q)
-    except ValueError:
-        return False
+Linear = tuple[tuple[int, ...], tuple]  # (primitive direction, coefficient vector)
 
 
-def residue_along(form: LocalForm, chi: MultiPoly) -> RationalSeries:
+def linear_data(p: MultiPoly) -> Linear:
+    """Primitive direction and coefficient vector of a linear form."""
+    return primitive_direction(p), linear_coeffs(p)
+
+
+def residue_along(form: LocalForm, chi: Linear, factors: Sequence[Linear]) -> RationalSeries:
     """Residue of the form along the hyperplane chi = 0.
 
+    chi is the character's linear_data and factors[i] that of form.den[i].
     Zero when the form has no pole parallel to chi; errors on a higher
-    order pole. The result depends on the scale of chi only through a
-    global factor, so zero-tests of residue sums are scale independent.
+    order pole. chi = 0 eliminates chi's first supported variable p: the
+    numerator is substituted, and each off-wall factor f becomes the
+    vector f - (f_p / chi_p) chi. The result depends on the scale of chi
+    only through a global factor, so zero-tests of residue sums are
+    scale independent.
     """
     rg = form.num.ring
-    on_wall, off_wall = [], []
-    for f in form.den:
-        (on_wall if parallel(f, chi) else off_wall).append(f)
+    direction, chi_c = chi
+    on_wall = [c for dvec, c in factors if dvec == direction]
     if len(on_wall) > 1:
         raise ValueError("pole of order > 1 along the character")
     if not on_wall:
         return RationalSeries.zero(rg)
-    # chi = 0 is realized by eliminating chi's first supported variable
-    chi_c = linear_coeffs(chi)
     pivot = next(i for i, c in enumerate(chi_c) if c != 0)
     a = chi_c[pivot]
-    ratio = linear_coeffs(on_wall[0])[pivot] / a
     image = MultiPoly.zero(rg)
     for i, c in enumerate(chi_c):
         if i == pivot or c == 0:
             continue
         image = image - MultiPoly.gen(rg, rg.names[i]) * (c / a)
-    images = {rg.names[pivot]: image}
-    num = form.num.substitute(images, rg) * (ONE / ratio)
-    factors = [(f.substitute(images, rg), 1) for f in off_wall]
-    return RationalSeries(num, factors)
+    num = form.num.substitute({rg.names[pivot]: image}, rg) * (a / on_wall[0][pivot])
+    restricted = []
+    for dvec, f_c in factors:
+        if dvec == direction:
+            continue
+        r = f_c[pivot] / a
+        terms = {}
+        for i, (f_i, chi_i) in enumerate(zip(f_c, chi_c)):
+            v = f_i - r * chi_i
+            if v != 0:
+                terms[rg.unit_exp(i)] = v
+        restricted.append((MultiPoly(rg, terms, _clean=True), 1))
+    return RationalSeries(num, restricted)
 
 
 @dataclass
@@ -201,13 +224,17 @@ class VerifyReport:
 
 
 class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+    """Union-find over the vertices it has seen; any other vertex is a root."""
+
+    def __init__(self):
+        self.parent = {}
 
     def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
+        parent = self.parent
+        while parent.get(x, x) != x:
+            up = parent[x]
+            parent[x] = parent.get(up, up)
+            x = parent[x]
         return x
 
     def union(self, a, b):
@@ -224,29 +251,35 @@ def verify_residue_conditions(graph: GkmGraph, cls: ClassTuple) -> VerifyReport:
     are parallel (simple poles); for every edge character chi, residues
     along chi = 0 sum to zero over each connected component of the
     chi-subgraph.
+
+    Edge directions come from the graph's direction table; each factor's
+    direction and coefficient vector are computed once, in the pole pass,
+    and passed to residue_along for every character.
     """
     report = VerifyReport(ok=True)
     groups: dict[tuple, list] = {}  # direction -> its edges, in edge order
     incident: dict[VertexKey, set] = {v: set() for v in graph.vertices}
-    for a, b, w in graph.edges:
-        direction = primitive_direction(w)
-        groups.setdefault(direction, []).append((a, b, w))
-        incident[a].add(direction)
-        incident[b].add(direction)
+    for edge, direction in zip(graph.edges, graph.directions):
+        groups.setdefault(direction, []).append(edge)
+        incident[edge[0]].add(direction)
+        incident[edge[1]].add(direction)
     for v in cls:
         if v not in incident:
             report.add_failure("vertex-outside-window", vertex=repr(v))
             return report
     # pole positions and orders
     poles: dict[VertexKey, set] = {}
+    factors: dict[VertexKey, list] = {}  # vertex -> linear_data of each factor
     for v in sorted(cls, key=repr):
         seen = poles[v] = set()
+        data = factors[v] = []
         for f in cls[v].den:
             try:
-                direction = primitive_direction(f)
+                linear = linear_data(f)
             except ValueError:
                 report.add_failure("bad-denominator", vertex=repr(v), factor=str(f))
                 continue
+            direction = linear[0]
             if direction not in incident[v]:
                 report.add_failure(
                     "pole-not-an-edge", vertex=repr(v), factor=str(f)
@@ -256,13 +289,15 @@ def verify_residue_conditions(graph: GkmGraph, cls: ClassTuple) -> VerifyReport:
                     "pole-order-too-high", vertex=repr(v), factor=str(f)
                 )
             seen.add(direction)
+            data.append(linear)
     if not report.ok:
         return report
     # residue sums per character and component
     for direction in sorted(groups):
         group = groups[direction]
         chi = group[0][2]
-        uf = _UnionFind(graph.vertices)
+        chi_data = (direction, linear_coeffs(chi))
+        uf = _UnionFind()
         for a, b, _ in group:
             uf.union(a, b)
         report.characters_checked += 1
@@ -272,7 +307,7 @@ def verify_residue_conditions(graph: GkmGraph, cls: ClassTuple) -> VerifyReport:
                 continue
             root = uf.find(v)
             acc = sums.get(root)
-            res = residue_along(form, chi)
+            res = residue_along(form, chi_data, factors[v])
             sums[root] = res if acc is None else acc + res
         for root in sorted(sums, key=repr):
             report.components_checked += 1
@@ -323,9 +358,13 @@ def residue_antisymmetry_check(d: int, k: int, j: int, jp: int) -> tuple[bool, R
     rg = weight_ring(1)
     y = MultiPoly.gen(rg, "y")
     t = MultiPoly.gen(rg, "t")
-    chi = y + (2 * k + j + jp) * t
-    res_j = residue_along(cls[(k + j,)], chi)
-    res_jp = residue_along(cls[(k + jp,)], chi)
+    chi = linear_data(y + (2 * k + j + jp) * t)
+
+    def residue(v) -> RationalSeries:
+        form = cls[v]
+        return residue_along(form, chi, [linear_data(f) for f in form.den])
+
+    res_j, res_jp = residue((k + j,)), residue((k + jp,))
     ok = (res_j + res_jp).is_zero() and not res_j.is_zero()
     return ok, res_j, res_jp
 

@@ -133,9 +133,6 @@ class MultiPoly:
     def constant_coeff(self):
         return self.terms.get(self.ring.zero_exp(), ZERO)
 
-    def support(self) -> set[Exp]:
-        return set(self.terms)
-
     def sorted_terms(self) -> list[tuple[Exp, object]]:
         return sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]))
 

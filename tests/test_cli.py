@@ -179,6 +179,12 @@ def test_gkm_verify_flag_constant(capsys):
     assert json.loads(out)["status"] == "PASS"
 
 
+def test_gkm_verify_constant_class_fits_every_graph(capsys):
+    code, out = run_cli(capsys, ["gkm-verify", "--group", "SL2", "--class", "constant"])
+    assert code == 0
+    assert json.loads(out)["status"] == "PASS"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -194,6 +200,10 @@ def test_gkm_verify_flag_constant(capsys):
         ["gkm-verify", "--group", "SL2", "--d", "0", "--class", "b0"],
         ["gkm-verify", "--group", "SL2", "--classes-file", "/nonexistent.json"],
         ["jd-series", "--n", "2", "--maxdeg", "1", "--output", "/nonexistent/dir/x.json"],
+        ["gkm-verify", "--group", "B2", "--class", "b0"],
+        ["gkm-verify", "--group", "GL2", "--d", "2", "--class", "b0"],
+        ["gkm-verify", "--group", "FLAG", "--class", "b0"],
+        ["gkm-verify", "--group", "SL2", "--class", "pair0"],
     ],
     ids=[
         "jd-n1",
@@ -208,6 +218,10 @@ def test_gkm_verify_flag_constant(capsys):
         "gkm-verify-d0",
         "gkm-verify-missing-classes-file",
         "output-in-missing-dir",
+        "gkm-verify-b-on-B2",
+        "gkm-verify-b-on-GL2",
+        "gkm-verify-b-on-flag",
+        "gkm-verify-pair-on-SL2",
     ],
 )
 def test_out_of_domain_arguments_exit_64(capsys, argv):
@@ -216,7 +230,7 @@ def test_out_of_domain_arguments_exit_64(capsys, argv):
     assert code == 64
     assert captured.out == ""
     assert captured.err.startswith("gkmslice: error: ")
-    if "--d" in argv and argv[0] == "gkm-verify":
+    if argv[0] == "gkm-verify" and "--d" in argv and argv[argv.index("--d") + 1] == "0":
         assert "d must be >= 1" in captured.err
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from gkmslice import curves
 from gkmslice.curves import (
     ALTERNATE_FACTOR,
     PUNCTUAL_FACTOR,
@@ -106,6 +107,25 @@ def test_quotient_slice_odd_t_degree_vanishes():
 def test_conjecture_matches_series(n, d):
     report = conjecture_vs_msv(n, d, order=4)
     assert report.ok, report.mismatches[:3]
+
+
+@pytest.mark.parametrize("n,d", [(3, 1), (2, 2), (2, 1)])
+def test_conjecture_table_is_the_quotient_slices_in_order(n, d, monkeypatch):
+    report = conjecture_vs_msv(n, d, order=5)
+    expected = {}
+    for N in range(6):
+        for M in range(2 * N + 1):
+            dim = quotient_hilbert_slice(n, d, (N, M))
+            if dim:
+                expected[(N, M)] = dim
+    assert report.table == expected
+    assert list(report.table) == sorted(report.table)
+    # against the zero series every nonzero slice is a mismatch
+    zero_series = RationalSeries.zero(QL_RING)
+    monkeypatch.setattr(curves, "reference_series", lambda n, d: ("zero", zero_series))
+    zero = conjecture_vs_msv(n, d, order=5)
+    assert [deg for deg, _, _ in zero.mismatches] == list(expected)
+    assert [dim for _, _, dim in zero.mismatches] == list(expected.values())
 
 
 def test_conjecture_rejects_unknown_pair():

@@ -1,6 +1,10 @@
 """Moment graphs, localized classes, residue verification."""
 
+from math import comb
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkmslice.gkm import (
     LocalForm,
@@ -12,15 +16,22 @@ from gkmslice.gkm import (
     flag_rank1_classes,
     graph_to_dot,
     graph_to_json,
+    linear_coeffs,
+    linear_data,
     perturb_numerator,
     perturb_with_unit_pole,
+    primitive_direction,
+    residue_along,
     residue_antisymmetry_check,
     sl2_classes,
     specialize_t0,
     verify_residue_conditions,
+    weight_ring,
 )
+from gkmslice.rationals import ONE, rat
 from gkmslice.rings import MultiPoly
 from gkmslice.rootdata import root_datum
+from gkmslice.series import RationalSeries
 
 
 def test_sl2_graph_shape_and_weights():
@@ -172,3 +183,127 @@ def test_flag_graph_edge_weights():
     assert weights[((0, "e"), (0, "s"))] == "y"
     assert weights[((1, "e"), (1, "s"))] == "2*t + y"
     assert weights[((1, "e"), (0, "s"))] == "t + y"
+
+
+def _b2_line_class(graph):
+    """Degree-2 class on the B2 line (1,1), (0,0), (-1,-1) along the coroot
+    (1,1): slot j carries (-1)^j binom(2, j) (y2/3 + t) over the weights of
+    the edges to the other two slots."""
+    weight = {frozenset((a, b)): w for a, b, w in graph.edges}
+    line = [(1, 1), (0, 0), (-1, -1)]
+    num = MultiPoly.gen(graph.ring, "y2") * rat(1, 3) + MultiPoly.gen(graph.ring, "t")
+    cls = {}
+    for j, p in enumerate(line):
+        den = tuple(weight[frozenset((p, q))] for q in line if q != p)
+        cls[p] = LocalForm(num * ((-1) ** j * comb(2, j)), den)
+    return cls
+
+
+def _b2_graph():
+    return build_gkm_graph(root_datum("B2"), 2, [(-1, 1), (-1, 1)])
+
+
+def test_b2_pole_class_passes_and_its_perturbation_fails():
+    graph = _b2_graph()
+    cls = _b2_line_class(graph)
+    report = verify_residue_conditions(graph, cls)
+    assert report.ok, report.failures
+    assert (report.characters_checked, report.components_checked) == (16, 3)
+    bad = verify_residue_conditions(graph, perturb_numerator(cls, (0, 0)))
+    # the records computed by per-call directions and substituted factors
+    assert bad.failures == [
+        {
+            "kind": "residue-sum-nonzero",
+            "character": "-t + 2*y2 + y1",
+            "component": "(0, 0)",
+            "residue": "(1/2) / ((t))",
+        },
+        {
+            "kind": "residue-sum-nonzero",
+            "character": "t + 2*y2 + y1",
+            "component": "(1, 1)",
+            "residue": "(-1/2) / ((t))",
+        },
+    ]
+
+
+@pytest.mark.parametrize(
+    "graph,cls,vertex",
+    [
+        (_b2_graph(), _b2_line_class(_b2_graph()), (0, 0)),
+        (_sl2_d2_graph(), sl2_classes(2, 0), (1,)),
+        (build_flag_rank1_graph((-3, 3)), flag_rank1_classes("pair", 1), (1, "e")),
+    ],
+    ids=["B2", "SL2", "FLAG"],
+)
+def test_verifying_a_graph_again_repeats_the_report(graph, cls, vertex):
+    bad = perturb_numerator(cls, vertex)
+    first = verify_residue_conditions(graph, cls)
+    perturbed = verify_residue_conditions(graph, bad)
+    assert verify_residue_conditions(graph, cls) == first
+    assert verify_residue_conditions(graph, bad) == perturbed
+    assert not perturbed.ok
+    # a graph whose direction table was never built gives the same reports
+    fresh = type(graph)(graph.label, graph.ring, graph.vertices, graph.edges)
+    assert verify_residue_conditions(fresh, bad) == perturbed
+
+
+def _substituted_residue(form, chi):
+    """Residue along chi = 0 as computed before residue_along took linear
+    data: directions compared per factor, and chi = 0 applied to the
+    numerator and to every off-wall factor through MultiPoly.substitute."""
+    rg = form.num.ring
+    on_wall = [f for f in form.den if primitive_direction(f) == primitive_direction(chi)]
+    off_wall = [f for f in form.den if primitive_direction(f) != primitive_direction(chi)]
+    if len(on_wall) > 1:
+        raise ValueError("pole of order > 1 along the character")
+    if not on_wall:
+        return RationalSeries.zero(rg)
+    chi_c = linear_coeffs(chi)
+    pivot = next(i for i, c in enumerate(chi_c) if c != 0)
+    a = chi_c[pivot]
+    ratio = linear_coeffs(on_wall[0])[pivot] / a
+    image = MultiPoly.zero(rg)
+    for i, c in enumerate(chi_c):
+        if i != pivot and c != 0:
+            image = image - MultiPoly.gen(rg, rg.names[i]) * (c / a)
+    images = {rg.names[pivot]: image}
+    num = form.num.substitute(images, rg) * (ONE / ratio)
+    return RationalSeries(num, [(f.substitute(images, rg), 1) for f in off_wall])
+
+
+_entry = st.one_of(st.just(rat(0)), st.builds(rat, st.integers(-3, 3), st.integers(1, 3)))
+
+
+@st.composite
+def _residue_cases(draw):
+    rg = weight_ring(draw(st.sampled_from([1, 2])))
+    n = rg.nvars
+
+    def linear(vec):
+        return MultiPoly(rg, {rg.unit_exp(i): c for i, c in enumerate(vec)})
+
+    vector = st.lists(_entry, min_size=n, max_size=n).filter(any)
+    chi = linear(draw(vector))
+    den = [linear(v) for v in draw(st.lists(vector, max_size=3))]
+    if draw(st.booleans()):  # a pole on the wall, at any position
+        scale = draw(_entry.filter(bool))
+        den.insert(draw(st.integers(0, len(den))), chi * scale)
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    num = MultiPoly(rg, draw(st.dictionaries(exps, _entry, max_size=4)))
+    return LocalForm(num, tuple(den)), chi
+
+
+@settings(max_examples=150, deadline=None)
+@given(_residue_cases())
+def test_residue_along_matches_substitution(case):
+    form, chi = case
+    try:
+        expected = _substituted_residue(form, chi)
+    except ValueError:
+        with pytest.raises(ValueError):
+            residue_along(form, linear_data(chi), [linear_data(f) for f in form.den])
+        return
+    got = residue_along(form, linear_data(chi), [linear_data(f) for f in form.den])
+    assert got == expected
+    assert str(got) == str(expected)
