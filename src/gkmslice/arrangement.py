@@ -54,21 +54,19 @@ def xy_ring(n: int) -> Ring:
     return ring([f"x{i+1}" for i in range(n)] + [f"y{i+1}" for i in range(n)])
 
 
-def xy_grading(n: int, convention: str = "algebraic") -> Grading:
-    """algebraic: deg x = (1,0), deg y = (0,1); curve: deg y = (1,2)."""
+def xy_grading(n: int) -> Grading:
+    """The bigrading by (x-degree, y-degree): deg x_i = (1,0), deg y_i = (0,1)."""
     table = {}
     for i in range(n):
         table[f"x{i+1}"] = (1, 0)
-        table[f"y{i+1}"] = (0, 1) if convention == "algebraic" else (1, 2)
+        table[f"y{i+1}"] = (0, 1)
     return grading_for(xy_ring(n), table)
 
 
-def _xy_slice(
-    n: int, deg: tuple[int, int], convention: str = "algebraic"
-) -> tuple[Ring, Grading, SliceBasis]:
+def _xy_slice(n: int, deg: tuple[int, int]) -> tuple[Ring, Grading, SliceBasis]:
     """The diagonal ring, its grading and the monomial basis at deg."""
     rg = xy_ring(n)
-    grading = xy_grading(n, convention)
+    grading = xy_grading(n)
     return rg, grading, SliceBasis(slice_monomials(rg, grading, deg))
 
 
@@ -410,14 +408,6 @@ def catalan_quotient(n: int, method: str = "spanning") -> CatalanReport:
 # ---- regular sequence check for y_1..y_n on the intersection ideal ----
 
 
-def stage_injective(
-    module_dim: int, rel_prev_dim: int, image_plus_rel_dim: int, rel_prev_next_dim: int
-) -> bool:
-    """Multiplication by y_k is injective on M/(y_1..y_{k-1})M at one slice
-    iff dim M - dim rel = dim (y_k M + rel') - dim rel'."""
-    return module_dim - rel_prev_dim == image_plus_rel_dim - rel_prev_next_dim
-
-
 @dataclass
 class FreenessReport:
     n: int
@@ -433,7 +423,10 @@ def freeness_check(n: int, d: int, max_total: int, method: str = "spanning") -> 
 
     Checked slice by slice through the given total degree: at stage k the
     map 'multiply by y_k' on J/(y_1..y_{k-1})J must be injective on every
-    bidegree (a, b) with a + b <= max_total.
+    bidegree (a, b) with a + b <= max_total. With r_k(a, b) the rank of
+    (y_1..y_k) J(a, b-1) inside J(a, b), one rank chain r_0..r_n per
+    bidegree, that is dim J(a, b) - r_{k-1}(a, b) = r_k(a, b+1) -
+    r_{k-1}(a, b+1).
     """
     if max_total < 0:
         raise ValueError(f"max_total must be >= 0, got {max_total}")
@@ -441,31 +434,22 @@ def freeness_check(n: int, d: int, max_total: int, method: str = "spanning") -> 
     for a in range(max_total + 2):
         for b in range(max_total + 2 - a):
             slices[(a, b)] = jd_slice(n, d, (a, b), method=method)
-
-    def rel_space(k: int, a: int, b: int) -> Subspace:
-        """Span of y_1..y_k times the slice one y-degree down, inside (a, b)."""
-        dst = slices[(a, b)]
-        out = Subspace(len(dst.basis))
-        if b >= 1 and k >= 1:
-            src = slices[(a, b - 1)]
-            for i in range(1, k + 1):
-                out.extend(_shift_rows(src, dst, f"y{i}"))
-        return out
+    chain: dict[tuple[int, int], list[int]] = {}  # (a, b) -> [r_0, ..., r_n]
+    for (a, b), dst in slices.items():
+        image, ranks = Subspace(len(dst.basis)), [0]
+        for i in range(1, n + 1):
+            if b >= 1:
+                image.extend(_shift_rows(slices[(a, b - 1)], dst, f"y{i}"))
+            ranks.append(image.rank)
+        chain[(a, b)] = ranks
 
     report = FreenessReport(n=n, d=d, max_total=max_total, ok=True)
     for k in range(1, n + 1):
         for a in range(max_total + 1):
             for b in range(max_total + 1 - a):
-                here = slices[(a, b)]
-                nxt = slices[(a, b + 1)]
-                rel_here = rel_space(k - 1, a, b)
-                rel_next = rel_space(k - 1, a, b + 1)
-                image_plus = rel_next.copy()
-                image_plus.extend(_shift_rows(here, nxt, f"y{k}"))
+                here, nxt = chain[(a, b)], chain[(a, b + 1)]
                 report.stages_checked += 1
-                if not stage_injective(
-                    here.rank, rel_here.rank, image_plus.rank, rel_next.rank
-                ):
+                if slices[(a, b)].rank - here[k - 1] != nxt[k] - nxt[k - 1]:
                     report.ok = False
                     report.failures.append((k, (a, b)))
     return report

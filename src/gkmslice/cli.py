@@ -244,8 +244,7 @@ def named_class(graph: gkm.GkmGraph, name: str, d: int) -> dict:
     """Resolve a class name: b<k> on rank-one lattice graphs, pair<k>/step<k>
     on the flag graph, constant on any graph.
 
-    A named class whose vertices or ring do not fit the graph is a usage
-    error, not a failed verification.
+    Whether the class fits the graph is left to the residue verification.
     """
     key = name.strip().lower()
     if key == "constant":
@@ -256,14 +255,7 @@ def named_class(graph: gkm.GkmGraph, name: str, d: int) -> dict:
                 k = int(key[len(kind):])
             except ValueError:
                 break
-            if kind == "b":
-                if graph.ring != gkm.weight_ring(1) or any(len(v) != 1 for v in graph.vertices):
-                    raise ValueError(f"class {name!r} needs a rank-one lattice graph, "
-                                     f"not {graph.label}")
-                return gkm.sl2_classes(d, k)
-            if any(not isinstance(v[-1], str) for v in graph.vertices):
-                raise ValueError(f"class {name!r} needs the FLAG graph, not {graph.label}")
-            return gkm.flag_rank1_classes(kind, k)
+            return gkm.sl2_classes(d, k) if kind == "b" else gkm.flag_rank1_classes(kind, k)
     raise ValueError(f"unknown class name {name!r} (use b<k>, pair<k>, step<k>, constant)")
 
 
@@ -283,6 +275,10 @@ def cmd_gkm_verify(args) -> int:
     else:
         raise ValueError("gkm-verify needs --class or --classes-file")
     report = gkm.verify_residue_conditions(graph, cls)
+    misfits = [f["kind"] for f in report.failures if f["kind"] in gkm.STRUCTURAL_FAILURES]
+    if misfits and not args.classes_file:
+        # a named class that does not fit the graph is a usage error
+        raise ValueError(f"class {name!r} does not fit {graph.label} ({misfits[0]})")
     status = "PASS" if report.ok else "FAIL"
     if args.format == "json":
         payload = {
@@ -304,35 +300,18 @@ def cmd_gkm_verify(args) -> int:
     return EXIT_PASS if report.ok else EXIT_MISMATCH
 
 
-CURVE_NAMES = {
-    "3,3": "three-lines",
-    "three-lines": "three-lines",
-    "2,4": "tacnode",
-    "tacnode": "tacnode",
-    "2,2": "node",
-    "node": "node",
-}
-
-
 def cmd_msv(args) -> int:
     key = args.curve.strip().lower().replace(" ", "")
-    name = CURVE_NAMES.get(key)
-    if name is None:
-        raise ValueError(f"unknown curve {args.curve!r} (use 3,3 / 2,4 / 2,2 or a name)")
-    if name == "three-lines":
-        spec = curves.three_lines_spec()
-        series = curves.msv_assemble(spec)
-        match = series == curves.three_lines_closed_form()
-        branches = spec.branches
-    elif name == "tacnode":
-        spec = curves.tacnode_spec()
-        series = curves.msv_assemble(spec)
-        match = series == curves.tacnode_closed_form()
-        branches = spec.branches
-    else:
-        series = curves.node_series()
-        match = True
-        branches = 2
+    found = [
+        (n, curve) for (n, dn), curve in curves.CURVES.items() if key in (f"{n},{dn}", curve.name)
+    ]
+    if not found:
+        keys = " / ".join(f"{n},{dn}" for n, dn in curves.CURVES)
+        raise ValueError(f"unknown curve {args.curve!r} (use {keys} or a name)")
+    branches, curve = found[0]
+    name = curve.name
+    series = curve.series()
+    match = series == curve.closed_form()
     if args.punctual:
         series = curves.punctual_series(series, branches)
     payload = {
@@ -381,14 +360,14 @@ def cmd_conjecture_check(args) -> int:
     return EXIT_PASS if report.ok else EXIT_MISMATCH
 
 
-LINK_NAMES = {"T33": "T(3,3)", "T(3,3)": "T(3,3)", "T24": "T(2,4)", "T(2,4)": "T(2,4)"}
-
-
 def cmd_compare_knot(args) -> int:
     key = args.link.strip().upper().replace(" ", "")
-    name = LINK_NAMES.get(key)
-    if name is None:
-        raise ValueError(f"unknown link {args.link!r} (use T24 or T33)")
+    pinned = [nd for nd, curve in curves.CURVES.items() if curve.link is not None]
+    found = [f"T({n},{dn})" for n, dn in pinned if key in (f"T{n}{dn}", f"T({n},{dn})")]
+    if not found:
+        links = " or ".join(f"T{n}{dn}" for n, dn in pinned)
+        raise ValueError(f"unknown link {args.link!r} (use {links})")
+    name = found[0]
     report = curves.knot_compare(name)
     normalization = f"T^{report.shift}" if report.shift is not None else None
     payload = {

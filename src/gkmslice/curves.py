@@ -9,16 +9,24 @@ numerator over (1-q)(1-qL). The punctual variant multiplies by
 and tests equality against pinned reference series up to one overall
 power of T.
 
+`CURVES` is the one catalogue of curves, keyed by (n, dn): the curve
+x^n = y^(dn) with n branches, its torus link T(n, dn), and the
+conjecture pair (n, d) of GL_n with gamma = z t^d.
+
 The conjectural algebraic side is the quotient of Q[x, y] by
-sum over pairs and 1 <= k <= d of (x_i - x_j)^k ker(d_i - d_j)^k, with
-the curve bigrading deg x = (1, 0), deg y = (1, 2). Its bigraded slice
-dimensions are compared against the assembled series under L -> t^2.
+sum over pairs and 1 <= k <= d of (x_i - x_j)^k ker(d_i - d_j)^k. Its
+slices are computed in the ordinary bigrading (x-degree, y-degree). The
+curve bigrading deg x = (1, 0), deg y = (1, 2) applies only when the
+slice dimensions are compared with a series under L -> t^2: the curve
+slice (q, t) is the ordinary slice (q - t/2, t/2), empty when t is odd
+or t > 2q.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .arrangement import _derivation_kernel, _generated_slice, _xy_slice, xy_ring
 from .linalg import Subspace, intersect_subspaces, sum_subspaces
@@ -47,24 +55,19 @@ def line_series() -> RationalSeries:
 class CurveSpec:
     """Decomposition data for one plane curve germ.
 
-    broken: (count, line_power) pairs for the decompositions with a
-    nonempty smooth part; central: numerator of the undecomposed term
-    over one factor (1-q)(1-qL). points is the number of branches used
-    by the punctual normalization.
+    branches: the number of branches; broken: (count, line_power) pairs
+    for the decompositions with a nonempty smooth part; central:
+    numerator of the undecomposed term over one factor (1-q)(1-qL).
     """
 
-    name: str
     branches: int
-    d: int
     broken: tuple[tuple[int, int], ...]
     central: MultiPoly
 
 
 def three_lines_spec() -> CurveSpec:
     return CurveSpec(
-        name="three-lines",
         branches=3,
-        d=1,
         broken=((1, 3), (3, 2)),
         central=_poly(QL_RING, {(0, 0): 1, (1, 1): 2, (2, 1): 1}),
     )
@@ -72,9 +75,7 @@ def three_lines_spec() -> CurveSpec:
 
 def tacnode_spec() -> CurveSpec:
     return CurveSpec(
-        name="tacnode",
         branches=2,
-        d=2,
         broken=((1, 2),),
         central=_poly(QL_RING, {(0, 0): 1, (1, 1): 1, (2, 1): 1}),
     )
@@ -180,6 +181,32 @@ def torus_3_3_reference() -> RationalSeries:
     return RationalSeries(num, ((one - Q, 3),))
 
 
+@dataclass(frozen=True)
+class Curve:
+    """One entry of `CURVES`: the curve x^n = y^(dn) under its key (n, dn).
+
+    spec builds its decomposition data (None: the closed form is the
+    series); link builds the pinned series of the torus link T(n, dn)
+    (None: no link series is pinned).
+    """
+
+    name: str
+    spec: Callable[[], CurveSpec] | None
+    closed_form: Callable[[], RationalSeries]
+    link: Callable[[], RationalSeries] | None
+
+    def series(self) -> RationalSeries:
+        """The assembled series, or the closed form for a curve without a spec."""
+        return self.closed_form() if self.spec is None else msv_assemble(self.spec())
+
+
+CURVES = {
+    (2, 2): Curve("node", None, node_series, None),
+    (2, 4): Curve("tacnode", tacnode_spec, tacnode_closed_form, torus_2_4_reference),
+    (3, 3): Curve("three-lines", three_lines_spec, three_lines_closed_form, torus_3_3_reference),
+}
+
+
 @dataclass
 class KnotCompareReport:
     name: str
@@ -188,27 +215,26 @@ class KnotCompareReport:
     factor_used: str
     alternate_factor: str
     punctual: RationalSeries
-    reference: RationalSeries
 
 
 def knot_compare(name: str) -> KnotCompareReport:
     """Compare a curve's punctual series against its pinned link series.
 
-    "T(2,4)" uses the tacnode with r = 2; "T(3,3)" the three lines with
-    r = 3. Equality is tested exactly, allowing one overall power of T
-    which is computed and reported.
+    "T(n,dn)" (spaces, parentheses and commas optional) names the curve
+    (n, dn) of `CURVES`, whose punctual series is taken with r = n; links
+    are pinned for T(2,4) and T(3,3). Equality is tested exactly,
+    allowing one overall power of T which is computed and reported.
     """
     key = name.upper()
     for ch in " (),":
         key = key.replace(ch, "")
-    if key == "T24":
-        spec, r, reference = tacnode_spec(), 2, torus_2_4_reference()
-    elif key == "T33":
-        spec, r, reference = three_lines_spec(), 3, torus_3_3_reference()
+    for (n, dn), curve in CURVES.items():
+        if curve.link is not None and key == f"T{n}{dn}":
+            break
     else:
         raise ValueError(f"no reference series for {name!r}")
-    punctual = knot_substitution(punctual_series(msv_assemble(spec), r))
-    shift = equal_up_to_monomial(punctual, reference, "T")
+    punctual = knot_substitution(punctual_series(curve.series(), n))
+    shift = equal_up_to_monomial(punctual, curve.link(), "T")
     return KnotCompareReport(
         name=name,
         ok=shift is not None,
@@ -216,7 +242,6 @@ def knot_compare(name: str) -> KnotCompareReport:
         factor_used=PUNCTUAL_FACTOR,
         alternate_factor=ALTERNATE_FACTOR,
         punctual=punctual,
-        reference=reference,
     )
 
 
@@ -229,34 +254,38 @@ def pair_diff_kernel(n: int, i: int, j: int, k: int, ydeg: int) -> list[MultiPol
     return _derivation_kernel(xy_ring(n), ynames, {f"y{i}": 1, f"y{j}": -1}, k, ydeg)
 
 
-def _relation_family(n: int, d: int, tdeg: int, qmax: int) -> list:
-    """Relation generators (x_i - x_j)^k K of t-degree tdeg and q-degree
-    k + ydeg <= qmax, K running over pair_diff_kernel(n, i, j, k, ydeg)
-    with ydeg = tdeg / 2; there are none at odd tdeg."""
-    ydeg, odd = divmod(tdeg, 2)
-    if odd:
-        return []
+def _relation_family(n: int, d: int, ydeg: int, xmax: int) -> list:
+    """Relation generators (x_i - x_j)^k K of y-degree ydeg and x-degree
+    k <= xmax, K running over pair_diff_kernel(n, i, j, k, ydeg)."""
     rg = xy_ring(n)
     family = []
     for i, j in itertools.combinations(range(1, n + 1), 2):
         xi, xj = MultiPoly.gen(rg, f"x{i}"), MultiPoly.gen(rg, f"x{j}")
-        for k in range(1, min(d, qmax - ydeg) + 1):
+        for k in range(1, min(d, xmax) + 1):
             shell = (xi - xj) ** k
             for K in pair_diff_kernel(n, i, j, k, ydeg):
-                family.append((shell * K, (k + ydeg, tdeg)))
+                family.append((shell * K, (k, ydeg)))
     return family
 
 
 def _relation_slice(n: int, deg: tuple[int, int], family: list) -> Subspace:
-    """Span of a relation family at one curve bidegree; generators of
-    higher q-degree contribute nothing."""
-    rg, curve, basis = _xy_slice(n, deg, "curve")
-    return _generated_slice(rg, curve, deg, basis, [family]).space
+    """Span of a relation family at one ordinary bidegree (x-degree,
+    y-degree); generators of higher x-degree contribute nothing."""
+    rg, grading, basis = _xy_slice(n, deg)
+    return _generated_slice(rg, grading, deg, basis, [family]).space
 
 
 def quotient_relations_slice(n: int, d: int, deg: tuple[int, int]) -> Subspace:
-    """Relation subspace at one curve bidegree (q-degree, t-degree)."""
-    return _relation_slice(n, deg, _relation_family(n, d, deg[1], deg[0]))
+    """Relation subspace at one curve bidegree (q-degree, t-degree).
+
+    That is the ordinary slice (q - t/2, t/2); it is empty (no columns)
+    when t is odd or t > 2q.
+    """
+    ydeg, odd = divmod(deg[1], 2)
+    if odd or not 0 <= ydeg <= deg[0]:
+        return Subspace(0)
+    xdeg = deg[0] - ydeg
+    return _relation_slice(n, (xdeg, ydeg), _relation_family(n, d, ydeg, xdeg))
 
 
 def quotient_hilbert_slice(n: int, d: int, deg: tuple[int, int]) -> int:
@@ -277,14 +306,11 @@ class ConjectureReport:
 
 
 def reference_series(n: int, d: int) -> tuple[str, RationalSeries]:
-    """Curve-side series for the supported (branches, d) pairs."""
-    if (n, d) == (3, 1):
-        return "three-lines", msv_assemble(three_lines_spec())
-    if (n, d) == (2, 2):
-        return "tacnode", msv_assemble(tacnode_spec())
-    if (n, d) == (2, 1):
-        return "node", node_series()
-    raise ValueError(f"no curve series pinned for (n, d) = ({n}, {d})")
+    """Name and series of the curve (n, dn) of `CURVES` for the pair (n, d)."""
+    curve = CURVES.get((n, n * d))
+    if curve is None:
+        raise ValueError(f"no curve series pinned for (n, d) = ({n}, {d})")
+    return curve.name, curve.series()
 
 
 def conjecture_vs_msv(n: int, d: int, order: int = 6) -> ConjectureReport:
@@ -293,11 +319,12 @@ def conjecture_vs_msv(n: int, d: int, order: int = 6) -> ConjectureReport:
     The series substitutes L -> t^2; every bidegree (N, M) with N <=
     order and M <= 2N is compared. Mismatches are collected, not raised.
 
-    The relations depend on N only through which generators fit, so the
-    t-degree M runs outside: the relation family of y-degree M/2 is built
-    once, with every generator some N <= order can hold, and spanned at
-    each N (odd M has no relations). Only one family is alive at a time;
-    table and mismatches are then filled in (N, M) order.
+    The slice at (N, M) is the ordinary slice (N - M/2, M/2), and empty at
+    odd M. The relations depend on N only through which generators fit,
+    so the y-degree runs outside: its relation family is built once, with
+    every generator some N <= order can hold, and spanned at each N. Only
+    one family is alive at a time; table and mismatches are then filled
+    in (N, M) order.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -306,15 +333,15 @@ def conjecture_vs_msv(n: int, d: int, order: int = 6) -> ConjectureReport:
     expansion = in_t.expand(order, ["q"]).terms
     report = ConjectureReport(n=n, d=d, order=order, reference_name=name, ok=True)
     dims = {}
-    for M in range(2 * order + 1):
-        family = _relation_family(n, d, M, order)
-        for N in range((M + 1) // 2, order + 1):
-            rel = _relation_slice(n, (N, M), family)
-            dims[(N, M)] = rel.ncols - rel.rank
+    for ydeg in range(order + 1):
+        family = _relation_family(n, d, ydeg, order - ydeg)
+        for N in range(ydeg, order + 1):
+            rel = _relation_slice(n, (N - ydeg, ydeg), family)
+            dims[(N, 2 * ydeg)] = rel.ncols - rel.rank
         del family
     for N in range(order + 1):
         for M in range(2 * N + 1):
-            dim = dims[(N, M)]
+            dim = dims.get((N, M), 0)
             coeff = expansion.get((N, M), rat(0))
             if dim:
                 report.table[(N, M)] = dim
@@ -327,16 +354,15 @@ def conjecture_vs_msv(n: int, d: int, order: int = 6) -> ConjectureReport:
 # ---- the three-plane relation family (n = 3, d = 1) ----
 
 
-def _u_family(rg: Ring, which: int, deg: tuple[int, int]) -> list:
-    """Generators of U_i = (x_j - x_k) Q[x1,x2,x3, y_j + y_k, y_i] at an even
-    curve bidegree."""
-    ydeg = deg[1] // 2
+def _u_family(rg: Ring, which: int, ydeg: int) -> list:
+    """Generators of U_i = (x_j - x_k) Q[x1,x2,x3, y_j + y_k, y_i] of one
+    y-degree."""
     j, k = [a for a in (1, 2, 3) if a != which]
     xj, xk = MultiPoly.gen(rg, f"x{j}"), MultiPoly.gen(rg, f"x{k}")
     ysum = MultiPoly.gen(rg, f"y{j}") + MultiPoly.gen(rg, f"y{k}")
     yi = MultiPoly.gen(rg, f"y{which}")
     return [
-        ((xj - xk) * ysum**p * yi ** (ydeg - p), (1 + ydeg, deg[1])) for p in range(ydeg + 1)
+        ((xj - xk) * ysum**p * yi ** (ydeg - p), (1, ydeg)) for p in range(ydeg + 1)
     ]
 
 
@@ -401,11 +427,11 @@ def grdim_family_check(order: int = 5) -> FamilyReport:
         return int(c)
 
     for N in range(order + 1):
-        for M in range(0, 2 * N + 1, 2):
-            deg = (N, M)
-            rg, curve, basis = _xy_slice(3, deg, "curve")
+        for ydeg in range(N + 1):
+            deg, xy = (N, 2 * ydeg), (N - ydeg, ydeg)
+            rg, grading, basis = _xy_slice(3, xy)
             u1, u2, u3 = (
-                _generated_slice(rg, curve, deg, basis, [_u_family(rg, i, deg)]).space
+                _generated_slice(rg, grading, xy, basis, [_u_family(rg, i, ydeg)]).space
                 for i in (1, 2, 3)
             )
             u12 = intersect_subspaces(u1, u2)

@@ -211,6 +211,13 @@ def residue_along(form: LocalForm, chi: Linear, factors: Sequence[Linear]) -> Ra
     return RationalSeries(num, restricted)
 
 
+# Failure kinds that say a class does not fit the graph; residue sums are
+# checked only when none of them occurs.
+STRUCTURAL_FAILURES = frozenset(
+    ("vertex-outside-window", "bad-denominator", "pole-not-an-edge", "pole-order-too-high")
+)
+
+
 @dataclass
 class VerifyReport:
     ok: bool

@@ -16,7 +16,6 @@ for every positive root (checked in the test suite).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 from .rings import MultiPoly, Ring
 
@@ -32,8 +31,6 @@ class RootDatum:
     roots: tuple[IntVec, ...]  # positive roots over the y basis
     coroots: tuple[IntVec, ...]  # matching coroots over the x basis
     pairing: IntMat  # yrank x rank
-    weyl_order: int
-    coxeter_number: int
 
     @property
     def npos(self) -> int:
@@ -171,8 +168,6 @@ def _gl(n: int) -> RootDatum:
         roots=tuple(roots),
         coroots=tuple(roots),
         pairing=identity_mat(n),
-        weyl_order=factorial(n),
-        coxeter_number=max(n, 1),
     )
 
 
@@ -196,13 +191,11 @@ def _sl(n: int) -> RootDatum:
         roots=tuple(roots),
         coroots=tuple(roots),
         pairing=cartan,
-        weyl_order=factorial(n),
-        coxeter_number=n,
     )
 
 
 _FIXED = {
-    "A1": RootDatum("A1", 1, 1, ((1,),), ((1,),), ((2,),), 2, 2),
+    "A1": RootDatum("A1", 1, 1, ((1,),), ((1,),), ((2,),)),
     "A1XA1": RootDatum(
         "A1xA1",
         2,
@@ -210,8 +203,6 @@ _FIXED = {
         ((1, 0), (0, 1)),
         ((1, 0), (0, 1)),
         ((2, 0), (0, 2)),
-        4,
-        2,
     ),
     "A2": RootDatum(
         "A2",
@@ -220,8 +211,6 @@ _FIXED = {
         ((1, 0), (0, 1), (1, 1)),
         ((1, 0), (0, 1), (1, 1)),
         ((2, -1), (-1, 2)),
-        6,
-        3,
     ),
     "B2": RootDatum(
         "B2",
@@ -230,8 +219,6 @@ _FIXED = {
         ((1, 0), (0, 1), (1, 1), (1, 2)),
         ((1, 0), (0, 1), (2, 1), (1, 1)),
         ((2, -2), (-1, 2)),
-        8,
-        4,
     ),
     "G2": RootDatum(
         "G2",
@@ -240,8 +227,6 @@ _FIXED = {
         ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)),
         ((1, 0), (0, 1), (1, 3), (2, 3), (1, 1), (1, 2)),
         ((2, -1), (-3, 2)),
-        12,
-        6,
     ),
 }
 

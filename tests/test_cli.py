@@ -1,10 +1,11 @@
 """CLI contract: exit codes, canonical output, formats, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
-from gkmslice import __version__, cli
+from gkmslice import __version__, cli, curves
 from gkmslice.arrangement import QuotientResult
 from gkmslice.gkm import class_to_json, perturb_numerator, sl2_classes
 from gkmslice.rationals import HAVE_GMPY2
@@ -204,6 +205,10 @@ def test_gkm_verify_constant_class_fits_every_graph(capsys):
         ["gkm-verify", "--group", "GL2", "--d", "2", "--class", "b0"],
         ["gkm-verify", "--group", "FLAG", "--class", "b0"],
         ["gkm-verify", "--group", "SL2", "--class", "pair0"],
+        ["gkm-verify", "--group", "GL1", "--class", "b0"],
+        ["gkm-verify", "--group", "SL2", "--class", "b100"],
+        ["gkm-verify", "--group", "FLAG", "--class", "pair99"],
+        ["compare-knot", "--link", "T22"],
     ],
     ids=[
         "jd-n1",
@@ -222,6 +227,10 @@ def test_gkm_verify_constant_class_fits_every_graph(capsys):
         "gkm-verify-b-on-GL2",
         "gkm-verify-b-on-flag",
         "gkm-verify-pair-on-SL2",
+        "gkm-verify-b-on-edgeless-GL1",
+        "gkm-verify-b-outside-window",
+        "gkm-verify-pair-outside-window",
+        "compare-knot-unpinned-link",
     ],
 )
 def test_out_of_domain_arguments_exit_64(capsys, argv):
@@ -232,6 +241,97 @@ def test_out_of_domain_arguments_exit_64(capsys, argv):
     assert captured.err.startswith("gkmslice: error: ")
     if argv[0] == "gkm-verify" and "--d" in argv and argv[argv.index("--d") + 1] == "0":
         assert "d must be >= 1" in captured.err
+
+
+# sha256 of stdout in the json, csv and human formats. The curve side's
+# output bytes are part of the CLI contract.
+CURVE_SIDE_DIGESTS = {
+    "msv --curve 3,3": (
+        "2845458760197a740c7c82f16b04ba795ed85fa6e9832dd8458893f5fedd0b10",
+        "2a5494686bdf5e33c64c63f23fe5de378804eb169b00abbd6165c852d4ca320e",
+        "f150e8335ac3876f5d515217c733450a9a3892b10ae55f9f5918122a540c0e35",
+    ),
+    "msv --curve 3,3 --punctual": (
+        "71cdb402c5a9e96577456b8b3154577d14360506f666252b1412b8e504b42fb6",
+        "2a5494686bdf5e33c64c63f23fe5de378804eb169b00abbd6165c852d4ca320e",
+        "f150e8335ac3876f5d515217c733450a9a3892b10ae55f9f5918122a540c0e35",
+    ),
+    "msv --curve 2,4": (
+        "51a068fe00545777e8cb5ae4f8c3d7d61d2f83eea0cdc0ecaab36c9ddf05cf62",
+        "266078b212d0dcd12421a0cb759e908c950e8ebba159a322721866911b5e298c",
+        "2bb7c25620f827c0ea871b7bedba951a51cec6169874601544e1856a2d0c26c9",
+    ),
+    "msv --curve 2,4 --punctual": (
+        "4961d402e929ea0508a0b7359476d74e29fb63f400e131be87b974b72c0e678f",
+        "266078b212d0dcd12421a0cb759e908c950e8ebba159a322721866911b5e298c",
+        "2bb7c25620f827c0ea871b7bedba951a51cec6169874601544e1856a2d0c26c9",
+    ),
+    "msv --curve 2,2": (
+        "46bee3945bc8c9cd4b8ceb4c3d6f7d44ba44c91509a80e4d346fdf4cc34e5cf2",
+        "35cff5ecb57b63b8a62303a9316e6ccd700a68e2c102f8a5134f3db2ff1fa977",
+        "807ab6a975f1ce61e30a33127799a7561c7c3e56c0cc9830b5885637c3bba1ce",
+    ),
+    "msv --curve 2,2 --punctual": (
+        "1f609354818931a1d5cacb550de876a08bf79eba118ed5d1888b251f5496fced",
+        "35cff5ecb57b63b8a62303a9316e6ccd700a68e2c102f8a5134f3db2ff1fa977",
+        "807ab6a975f1ce61e30a33127799a7561c7c3e56c0cc9830b5885637c3bba1ce",
+    ),
+    "compare-knot --link T24": (
+        "d27652f402fabd7829ec30e965c40e08902bb1287852b15be885a5509994bc44",
+        "e6a79e00eb83a6911dc8e6876fba767d24b9ad2bdaaf5e59cecdafec5c5b733a",
+        "74ee2f673429d64c9c504d1095d16791b2f52570f904ec7a7dc370df206229ae",
+    ),
+    "compare-knot --link T(3,3)": (
+        "4618e3eb0c915d12b35c437536fb6d1b584131b6509141775275c1c445d9515c",
+        "79ed07f9b72447985e542d907486b1089b5a7ea122b659350ce124122b5e1784",
+        "5f601a1ab914b36fbc7eff28f35609f00f403ac5979b999e0c98fdf0333f1907",
+    ),
+    "conjecture-check --n 2 --d 1": (
+        "2bb1374e91aa78360189b36620b6ed6a4f3bf41a5a7a1d3af605e9c591111d8b",
+        "4b565d32dec5b90d73ed6f94d0d658231214d7a1cfbf7e10c67c84f23cd716e5",
+        "3975c59b532a161721136c1846087a557699e02727f5f0e9106b109dbc5c0d0a",
+    ),
+    "conjecture-check --n 3 --d 1": (
+        "0bf996fa27ae9378aa093b540b23d43dd78bb6cc3b9ba1b7e19e03e4506b6ef2",
+        "9139d26a94abbe40c11f0be1710061f329126a11938a28224ac6206e9d584987",
+        "b91e9e0de4784ed4238d3acabf45ff777c89ecc490d2ad4b0f23ea6b89d6e93a",
+    ),
+    "conjecture-check --n 2 --d 2": (
+        "dc0ad43d786205cd53c99681bcf1dd8f19e07fe91b62f0014a8c94edfa998fdb",
+        "d4e00d303c32c09af963a7cd71d78bfa06aa387bfe0d0b59faf20719bd46bfc0",
+        "0cf6b5089b5fc8c883c4fb64312b61241832d6ba98f7ade742fd5d3ad7586f17",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(CURVE_SIDE_DIGESTS))
+def test_curve_side_stdout_is_pinned(capsys, command):
+    for fmt, expected in zip(("json", "csv", "human"), CURVE_SIDE_DIGESTS[command]):
+        code, out = run_cli(capsys, command.split() + ["--format", fmt])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, (command, fmt)
+
+
+@pytest.mark.parametrize("key", list(curves.CURVES))
+def test_curve_spellings_resolve_to_one_catalogue_entry(capsys, key):
+    n, dn = key
+    curve = curves.CURVES[key]
+    by_key = run_cli(capsys, ["msv", "--curve", f"{n},{dn}"])
+    assert by_key == run_cli(capsys, ["msv", "--curve", curve.name])
+    assert json.loads(by_key[1])["curve"] == curve.name
+    assert dn % n == 0
+    name, series = curves.reference_series(n, dn // n)
+    assert name == curve.name and series == curve.series()
+    if curve.link is None:
+        return
+    link = f"T({n},{dn})"
+    for spelling in (link, f"T{n}{dn}"):
+        code, out = run_cli(capsys, ["compare-knot", "--link", spelling])
+        assert code == 0 and json.loads(out)["link"] == link
+    report = curves.knot_compare(link)
+    assert report.ok
+    expected = curves.knot_substitution(curves.punctual_series(curve.series(), n))
+    assert report.punctual == expected
 
 
 def test_internal_error_exits_70_with_traceback(capsys, monkeypatch):

@@ -8,6 +8,10 @@ string constants that are exactly an identifier, which is how
 perfbench/tracer.py names what it wraps), and the code spans of
 README.md. Words in docstrings and prose do not count. Dunder methods
 are called by the language and are skipped.
+
+It also fails on a field of a `@dataclass` that no Python source under
+src/, tests/ or perfbench/ reads as an attribute: a field that is set
+everywhere and read nowhere.
 """
 
 import ast
@@ -50,6 +54,45 @@ def references(source: str) -> set[str]:
     return names
 
 
+def is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+        if isinstance(target, ast.Attribute) and target.attr == "dataclass":
+            return True
+    return False
+
+
+def dataclass_fields(source: str) -> list[tuple[str, str, int]]:
+    """(class, field, line) of each annotated field of a top-level dataclass."""
+    return [
+        (node.name, item.target.id, item.lineno)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef) and is_dataclass(node)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+
+
+def attribute_reads(source: str) -> set[str]:
+    """Attribute names a Python source loads (obj.name read, not assigned)."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread_fields(package: dict[str, str], reads: set[str]) -> list[str]:
+    return sorted(
+        f"{cls}.{name} ({path}:{line})"
+        for path, source in package.items()
+        for cls, name, line in dataclass_fields(source)
+        if name not in reads
+    )
+
+
 def markdown_references(text: str) -> set[str]:
     """Identifiers inside the code blocks and code spans of a Markdown file."""
     spans = re.findall(r"```.*?```|`[^`\n]+`", text, flags=re.DOTALL)
@@ -81,3 +124,20 @@ def test_every_definition_is_named_somewhere():
     used |= markdown_references((ROOT / "README.md").read_text())
     package = {path.name: path.read_text() for path in PACKAGE}
     assert unreferenced(package, used) == []
+
+
+def test_detector_flags_an_unread_dataclass_field():
+    package = {
+        "m.py": "from dataclasses import dataclass\n\n\n@dataclass(frozen=True)\n"
+        "class P:\n    x: int\n    y: int\n\n\nclass Q:\n    z: int\n"
+    }
+    reads = attribute_reads("p = P(1, 2)\np.y = 3\nprint(p.x)\n")
+    assert unread_fields(package, reads) == ["P.y (m.py:7)"]
+
+
+def test_every_dataclass_field_is_read_somewhere():
+    reads = set()
+    for path in SOURCES:
+        reads |= attribute_reads(path.read_text())
+    package = {path.name: path.read_text() for path in PACKAGE}
+    assert unread_fields(package, reads) == []
