@@ -530,6 +530,20 @@ def _check_lattice_degrees(
         raise ValueError(f"y-degree must be >= 0, got {ydeg}")
 
 
+def _root_families(rd: RootDatum, rg: Ring, d: int, ydeg: int) -> list[list]:
+    """Per positive root, the generators y_alpha^e (1 - x^coroot)^(d - e)
+    of (y_alpha, 1 - x^coroot)^d up to y-degree ydeg."""
+    one = MultiPoly.one(rg)
+    families = []
+    for i in range(rd.npos):
+        y_alpha = rd.root_form(rg, i, y_names(rd.yrank))
+        one_minus = one - coroot_monomial(rd, rg, i)
+        families.append(
+            [(y_alpha**e * one_minus ** (d - e), (e, 0)) for e in range(min(d, ydeg) + 1)]
+        )
+    return families
+
+
 def jd_root_slice(
     rd: RootDatum,
     d: int,
@@ -545,14 +559,7 @@ def jd_root_slice(
     grading = lattice_grading(rd, rg)
     margin0 = 2 * d if margin is None else margin
     window_keys = slice_monomials(rg, grading, (ydeg, 0), _window_dict(bounds))
-    one = MultiPoly.one(rg)
-    per_root = []
-    for i in range(rd.npos):
-        y_alpha = rd.root_form(rg, i, y_names(rd.yrank))
-        one_minus = one - coroot_monomial(rd, rg, i)
-        per_root.append(
-            [(y_alpha**e * one_minus ** (d - e), (e, 0)) for e in range(min(d, ydeg) + 1)]
-        )
+    per_root = _root_families(rd, rg, d, ydeg)
 
     def compute(m: int) -> SliceResult:
         ambient, gen_window = _margin_box(rd, rg, grading, ydeg, bounds, d, m)
@@ -599,6 +606,22 @@ def _derivation_kernel(
     return [domain.poly(rg, row) for row in kern.rows]
 
 
+def _relation_generators(rd: RootDatum, rg: Ring, d: int, ydeg: int) -> list:
+    """The relations (1 - x^coroot)^k K, K in ker(d_alpha^k) of y-degree
+    ydeg, over positive roots and 1 <= k <= d."""
+    ynames = y_names(rd.yrank)
+    units = [tuple(1 if a == i else 0 for a in range(rd.yrank)) for i in range(rd.yrank)]
+    generators = []
+    for i in range(rd.npos):
+        d_alpha = {n: rd.pair_coroot(u, rd.coroots[i]) for n, u in zip(ynames, units)}
+        one_minus = MultiPoly.one(rg) - coroot_monomial(rd, rg, i)
+        for k in range(1, d + 1):
+            shell = one_minus**k
+            for K in _derivation_kernel(rg, ynames, d_alpha, k, ydeg):
+                generators.append((shell * K, (ydeg, 0)))
+    return generators
+
+
 @dataclass
 class QuotientResult:
     ambient_dim: int
@@ -628,16 +651,7 @@ def ordinary_homology_quotient_slice(
     grading = lattice_grading(rd, rg)
     margin0 = 2 * d if margin is None else margin
     window_keys = slice_monomials(rg, grading, (ydeg, 0), _window_dict(bounds))
-    ynames = y_names(rd.yrank)
-    units = [tuple(1 if a == i else 0 for a in range(rd.yrank)) for i in range(rd.yrank)]
-    generators = []
-    for i in range(rd.npos):
-        d_alpha = {n: rd.pair_coroot(u, rd.coroots[i]) for n, u in zip(ynames, units)}
-        one_minus = MultiPoly.one(rg) - coroot_monomial(rd, rg, i)
-        for k in range(1, d + 1):
-            shell = one_minus**k
-            for K in _derivation_kernel(rg, ynames, d_alpha, k, ydeg):
-                generators.append((shell * K, (ydeg, 0)))
+    generators = _relation_generators(rd, rg, d, ydeg)
 
     def compute(m: int) -> SliceResult:
         ambient, gen_window = _margin_box(rd, rg, grading, ydeg, bounds, d, m)

@@ -2,30 +2,33 @@
 
 Vectors are sparse index->coefficient dicts over an ordered basis of
 hashable keys (monomial exponent tuples, or richer keys for module
-slices). All elimination runs on integer vectors through one pair of
-routines:
+slices). All elimination runs on integer vectors with fraction-free
+steps (cross-multiplication by the cofactors of the gcd of the two
+entries, as in Bareiss 1968), through three routines:
 
-- `_eliminate` reduces a vector against echelon rows: each row is
-  primitive (content gcd 1) and starts at its pivot, with a positive
-  entry there. The columns the vector hits are taken in increasing
-  order from a heap; the first one without a row becomes the pivot of
-  a new row. Rows are never back-eliminated. Steps are fraction-free
-  (cross-multiplication by the cofactors of the gcd of the two
-  entries), as in Bareiss 1968.
+- `_eliminate` adds a vector to the echelon rows of a Subspace: each
+  row is primitive (content gcd 1) and starts at its pivot, with a
+  positive entry there. The columns the vector hits are taken in
+  increasing order from a heap; the first one without a row becomes the
+  pivot of a new row. Rows are never back-eliminated.
 - `_canonical` makes one back-substitution pass from the highest pivot
   down and returns the reduced row echelon form scaled row by row, so
   that equal subspaces have identical representations. A Subspace
   builds it only when it is first asked for; the only rationals are
   made at the boundary, where `rows` and `reduce` return the canonical
   RREF over Q.
+- `_kernel` finds which part of a span vanishes on a block of leading
+  columns. It holds all the vectors at once and eliminates the block
+  column by column, the column with the fewest holders first, dropping
+  each pivot vector once its column is cleared (Markowitz pivoting).
+  What the other vectors leave past the block spans the answer.
 
-Kernels use the augmented-row trick: stack generators with identity
-tags, reduce with pivots on the original columns only, and read the
-relations off rows whose original part vanished. An intersection is the
-kernel of the remainders of one space's rows modulo the other.
-Restriction to a set of columns is the same kernel with the dropped
-columns ordered first: what is left of a vector once the dropped block
-is eliminated is supported on the kept columns.
+Three operations are that one kernel. `kernel_of_rows` tags the i-th
+row with an identity column past the block of the original columns, so
+the answer is the relations among the rows. `intersect_subspaces` is
+the kernel of the remainders of one space's rows modulo the other.
+`restrict_to_columns` orders the dropped columns first, so the answer
+is the part of the span supported on the kept columns.
 """
 
 from __future__ import annotations
@@ -97,20 +100,19 @@ def _primitive(v: Row) -> Row:
     return v if g == 1 else {j: c // g for j, c in v.items()}
 
 
-def _eliminate(w: Row, rows: dict[int, Row], base: int) -> int | None:
+def _eliminate(w: Row, rows: dict[int, Row]) -> int | None:
     """Reduce the integer vector w in place against echelon rows.
 
     `rows` maps each pivot to a primitive integer row whose first column
-    is that pivot, with a positive entry there. The columns of w below
-    `base` are taken in increasing order from a heap; an elimination
-    step only brings in columns past its pivot, which are pushed as
-    they appear. The first column without a row becomes the pivot: w is
-    made primitive with a positive pivot entry, stored as the new row,
-    and the pivot is returned. Otherwise None is returned and w, a
-    positive multiple of what is left, lies on the columns from `base`
-    on (empty when base covers every column and w was in the span).
+    is that pivot, with a positive entry there. The columns of w are
+    taken in increasing order from a heap; an elimination step only
+    brings in columns past its pivot, which are pushed as they appear.
+    The first column without a row becomes the pivot: w is made
+    primitive with a positive pivot entry, stored as the new row, and
+    the pivot is returned. Otherwise w was in the span: it is left
+    empty and None is returned.
     """
-    heap = [j for j in w if j < base]
+    heap = list(w)
     heapify(heap)
     while heap:
         p = heappop(heap)
@@ -138,8 +140,7 @@ def _eliminate(w: Row, rows: dict[int, Row], base: int) -> int | None:
             y = w.get(j)
             if y is None:
                 w[j] = -f * x
-                if j < base:
-                    heappush(heap, j)
+                heappush(heap, j)
             else:
                 y -= f * x
                 if y:
@@ -228,7 +229,7 @@ class Subspace:
 
     def _add(self, v: Row) -> bool:
         """Eliminate the fresh integer vector v; True when it became a row."""
-        if _eliminate(v, self._ech, self.ncols) is None:
+        if _eliminate(v, self._ech) is None:
             return False
         self._red = self._q = None
         return True
@@ -275,23 +276,110 @@ def sum_subspaces(a: Subspace, b: Subspace) -> Subspace:
 
 
 def _kernel(vectors: Iterable[Row], base: int, count: int) -> Subspace:
-    """Eliminate integer vectors on the first `base` columns; keep what
-    is left past them.
+    """The elements of the span of integer vectors that vanish on the
+    first `base` columns, cut to the next `count` columns: a subspace of
+    Q^count, where column base + i becomes column i.
 
-    The work rows are echelon rows with pivots on the first base
-    columns; they only have to find relations, so they are never put
-    in canonical form. A vector that reduces to 0 on those columns
-    leaves a remainder on columns base .. base + count - 1. The span of
-    those remainders is returned as a subspace of Q^count, itself kept
-    in echelon form until its canonical form is asked for. With the
-    i-th of `count` rows tagged at base + i, it is the relations among
-    them.
+    Markowitz block elimination (Markowitz 1957; LaMacchia and Odlyzko
+    1990). The vectors that hold a column below base are kept together;
+    a vector with none goes straight into the result. The column that
+    the fewest vectors hold is eliminated first: a heap is keyed by
+    holder count * base + column, and a key whose count has grown since
+    it was pushed is pushed again when it comes out. The shortest holder
+    is the pivot. Every other holder takes the fraction-free step of
+    `_eliminate`, with its content divided out when it was rescaled, so
+    the entries of a vector that is combined many times stay small. Then
+    the pivot is dropped: it is the only vector left on that column, so
+    no combination that vanishes below base can use it. A holder with no
+    column below base left joins the result, which stays in echelon form
+    until its canonical form is asked for. With the i-th of `count`
+    vectors tagged at base + i, the result is the relations among them.
     """
-    work: dict[int, Row] = {}
     out = Subspace(count)
+    held: list[Row | None] = []
+    low: list[int] = []  # how many columns below base each held vector has
+    holders: list[list[int] | None] = [None] * base  # indices of vectors that held a column
     for v in vectors:
-        if _eliminate(v, work, base) is None and v:
+        i = len(held)
+        n = 0
+        for j in v:
+            if j < base:
+                hs = holders[j]
+                if hs is None:
+                    holders[j] = [i]
+                else:
+                    hs.append(i)
+                n += 1
+        if n:
+            held.append(v)
+            low.append(n)
+        elif v:
             out._add({j - base: c for j, c in v.items()})
+    count_of = [0 if hs is None else len(hs) for hs in holders]  # < 0 once eliminated
+    heap = [k * base + j for j, k in enumerate(count_of) if k]
+    heapify(heap)
+    while heap:
+        k, p = divmod(heappop(heap), base)
+        now = count_of[p]
+        if now < 0:  # already eliminated
+            continue
+        if now > k:
+            heappush(heap, now * base + p)
+            continue
+        count_of[p] = -1
+        live = [i for i in dict.fromkeys(holders[p]) if (w := held[i]) is not None and p in w]
+        holders[p] = None
+        if not live:
+            continue
+        pi = live[0] if len(live) == 1 else min(live, key=lambda i: len(held[i]))
+        pivot = held[pi]
+        held[pi] = None
+        for j in pivot:
+            if j < base:
+                count_of[j] -= 1
+        a = pivot[p]
+        for i in live:
+            if i == pi:
+                continue
+            w = held[i]
+            c = w[p]
+            g = gcd(a, c)
+            if a < 0:
+                g = -g
+            m = a // g
+            if m != 1:
+                for j, x in w.items():
+                    w[j] = m * x
+            f = c // g
+            n = low[i]
+            for j, x in pivot.items():
+                y = w.get(j)
+                if y is None:
+                    w[j] = -f * x
+                    if j < base:
+                        holders[j].append(i)
+                        count_of[j] += 1
+                        n += 1
+                else:
+                    y -= f * x
+                    if y:
+                        w[j] = y
+                    else:
+                        del w[j]
+                        if j < base:
+                            n -= 1
+                            count_of[j] -= 1
+            if m != 1:
+                g = gcd(*w.values())
+                if g != 1:
+                    for j, x in w.items():
+                        w[j] = x // g
+            if n:
+                low[i] = n
+            else:
+                held[i] = None
+                if w:
+                    out._add({j - base: c for j, c in w.items()})
     return out
 
 
@@ -346,9 +434,9 @@ def restrict_to_columns(vectors: Iterable[Row], keep: Sequence[int], ncols: int)
     """Elements of the span of `vectors` (in Q^ncols) supported on `keep`,
     reindexed to keep.
 
-    One pass of `_kernel` with the dropped columns ordered first: the
-    elements of the span that vanish on them are spanned by what each
-    vector leaves after elimination there.
+    One `_kernel` call with the dropped columns ordered first as its
+    block: the vectors that survive the Markowitz elimination of the
+    dropped columns lie on the kept columns and span the answer.
     """
     keep_set = set(keep)
     drop = [j for j in range(ncols) if j not in keep_set]

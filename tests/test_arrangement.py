@@ -1,16 +1,19 @@
 """Diagonal ideal slices, quotients, and windowed lattice modules."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkmslice.arrangement import (
     _generated_slice,
     _margin_box,
+    _relation_generators,
+    _root_families,
     _window_dict,
     alternant,
     alternant_slice,
     anti_invariant_inclusion_check,
     catalan_quotient,
-    coroot_monomial,
     flag_pair_element,
     flag_rank1_module_slice,
     flag_step_element,
@@ -26,7 +29,6 @@ from gkmslice.arrangement import (
     vanishing_slice,
     xy_ring,
 )
-from gkmslice.gkm import y_names
 from gkmslice.linalg import SliceBasis, intersect_subspaces
 from gkmslice.rings import MultiPoly, grading_for, ring, slice_monomials
 from gkmslice.rootdata import root_datum
@@ -117,11 +119,7 @@ def test_windowed_families_match_single_family_intersections(group, d, ydeg, win
     bounds = [window] * rd.rank
     window_keys = slice_monomials(rg, grading, (ydeg, 0), _window_dict(bounds))
     ambient, gen_window = _margin_box(rd, rg, grading, ydeg, bounds, d, 2 * d)
-    families = []
-    for i in range(rd.npos):
-        y_alpha = rd.root_form(rg, i, y_names(rd.yrank))
-        one_minus = MultiPoly.one(rg) - coroot_monomial(rd, rg, i)
-        families.append([(y_alpha**e * one_minus ** (d - e), (e, 0)) for e in range(d + 1)])
+    families = _root_families(rd, rg, d, ydeg)
 
     def build(fams):
         return _generated_slice(rg, grading, (ydeg, 0), ambient, fams, gen_window, window_keys)
@@ -133,6 +131,60 @@ def test_windowed_families_match_single_family_intersections(group, d, ydeg, win
     assert together.basis.keys == tuple(window_keys)
     assert together.space == one_by_one
     assert 0 < together.rank < len(window_keys)
+
+
+@pytest.mark.parametrize(
+    "group,ydeg,window",
+    [("G2", 1, (0, 1)), ("B2", 2, (-1, 1)), ("GL3", 2, (0, 1))],
+    ids=["G2", "B2", "GL3"],
+)
+def test_windowed_rank_does_not_drop_as_the_margin_grows(group, ydeg, window):
+    # a wider margin only adds relation products, so the window sees more
+    rd = root_datum(group)
+    rg = lattice_ring(rd)
+    grading = lattice_grading(rd, rg)
+    bounds = [window] * rd.rank
+    window_keys = slice_monomials(rg, grading, (ydeg, 0), _window_dict(bounds))
+    families = [_relation_generators(rd, rg, 1, ydeg)]
+    ranks = []
+    for margin in range(4):
+        ambient, gen_window = _margin_box(rd, rg, grading, ydeg, bounds, 1, margin)
+        part = _generated_slice(rg, grading, (ydeg, 0), ambient, families, gen_window, window_keys)
+        ranks.append(part.rank)
+    assert ranks == sorted(ranks), ranks
+    assert 0 < ranks[-1] <= len(window_keys)
+
+
+@st.composite
+def diagonal_cases(draw):
+    """(n, d, (a, b)) with n <= 3, d <= 2, a + b <= 4, and integer
+    weights for a polynomial on the slice: one per spanning row, one on
+    a basis monomial."""
+    n = draw(st.integers(2, 3))
+    d = draw(st.integers(0, 2))
+    a = draw(st.integers(0, 4))
+    b = draw(st.integers(0, 4 - a))
+    weights = st.lists(st.integers(-3, 3), min_size=12, max_size=12)
+    return n, d, (a, b), draw(weights), draw(st.integers(-1, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(diagonal_cases())
+def test_spanning_and_vanishing_jd_slices_agree(case):
+    n, d, deg, weights, stray = case
+    spanning = jd_slice(n, d, deg, method="spanning")
+    vanishing = jd_slice(n, d, deg, method="vanishing")
+    assert spanning.basis.keys == vanishing.basis.keys
+    assert spanning.space == vanishing.space
+    # a combination of the rows, pushed off the slice by a stray monomial
+    f = MultiPoly.zero(spanning.ring)
+    for w, row in zip(weights, spanning.row_polys()):
+        f = f + row * w
+    f = f + MultiPoly.monomial(spanning.ring, spanning.basis.keys[0]) * stray
+    member = spanning.contains_poly(f)
+    assert vanishing.contains_poly(f) == member
+    if d:
+        assert symbolic_power_oracle(f, n, d) == member
 
 
 @pytest.mark.parametrize("n,d", [(2, 1), (2, 2), (3, 1)])

@@ -11,7 +11,8 @@ are called by the language and are skipped.
 
 It also fails on a field of a `@dataclass` that no Python source under
 src/, tests/ or perfbench/ reads as an attribute: a field that is set
-everywhere and read nowhere.
+everywhere and read nowhere. A read of a command-line option
+(`args.<name>`) does not count for a field of the same name.
 """
 
 import ast
@@ -76,11 +77,17 @@ def dataclass_fields(source: str) -> list[tuple[str, str, int]]:
 
 
 def attribute_reads(source: str) -> set[str]:
-    """Attribute names a Python source loads (obj.name read, not assigned)."""
+    """Attribute names a Python source loads (obj.name read, not assigned).
+
+    Reads of `args.<name>` are left out: `args` is the parsed command
+    line, whose options share names with dataclass fields.
+    """
     return {
         node.attr
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and not (isinstance(node.value, ast.Name) and node.value.id == "args")
     }
 
 
@@ -132,6 +139,9 @@ def test_detector_flags_an_unread_dataclass_field():
         "class P:\n    x: int\n    y: int\n\n\nclass Q:\n    z: int\n"
     }
     reads = attribute_reads("p = P(1, 2)\np.y = 3\nprint(p.x)\n")
+    assert unread_fields(package, reads) == ["P.y (m.py:7)"]
+    # an option of the same name on the parsed command line is not a read
+    reads = attribute_reads("p = P(1, args.y)\nprint(p.x)\n")
     assert unread_fields(package, reads) == ["P.y (m.py:7)"]
 
 

@@ -340,3 +340,69 @@ def test_incremental_inserts_match_span(family):
         batch = span(vecs[: i + 1], ncols)
         assert s.rows == batch.rows
         assert s == batch
+
+
+# ---- block elimination: many vectors on few columns ----
+
+small_rational = st.builds(rat, st.sampled_from([-3, -2, -1, 1, 2]), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def crowded_families(draw):
+    """Up to 18 vectors on 2-6 columns, drawn from a pool of 1-4 vectors
+    with multiplicity: scaled and repeated copies, and zero vectors."""
+    ncols = draw(st.integers(min_value=2, max_value=6))
+    entry = st.one_of(st.just(rat(0)), small_rational)
+    vec = st.lists(entry, min_size=ncols, max_size=ncols).map(
+        lambda vals: {i: c for i, c in enumerate(vals) if c}
+    )
+    pool = draw(st.lists(vec, min_size=1, max_size=4)) + [{}]
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), small_rational), max_size=18))
+    return ncols, [{j: m * c for j, c in v.items()} for v, m in picks]
+
+
+def shuffled(data, items):
+    order = data.draw(st.permutations(range(len(items))))
+    return [items[i] for i in order], order
+
+
+@settings(max_examples=100, deadline=None)
+@given(crowded_families(), st.data())
+def test_crowded_restriction_matches_reference_in_any_order(family, data):
+    ncols, vecs = family
+    keep = data.draw(st.permutations(range(ncols)))[: data.draw(st.integers(0, ncols))]
+    # vectors that lie wholly on the kept columns skip the elimination
+    vecs = vecs + [{j: c for j, c in v.items() if j in keep} for v in vecs[:3]]
+    restricted = restrict_to_columns(vecs, keep, ncols)
+    inside = ref_intersection(vecs, [{j: Fraction(1)} for j in keep], ncols)
+    rows, _ = ref_rref([{i: v[j] for i, j in enumerate(keep) if j in v} for v in inside], len(keep))
+    assert as_fractions(restricted.rows) == ref_sparse(rows)
+    assert restrict_to_columns(shuffled(data, vecs)[0], keep, ncols) == restricted
+
+
+@settings(max_examples=100, deadline=None)
+@given(crowded_families(), st.data())
+def test_crowded_kernel_matches_reference_in_any_order(family, data):
+    ncols, vecs = family
+    kern = kernel_of_rows(vecs, ncols)
+    columns = [{i: v[j] for i, v in enumerate(vecs) if j in v} for j in range(ncols)]
+    rows, _ = ref_rref(ref_nullspace(columns, len(vecs)), len(vecs))
+    assert as_fractions(kern.rows) == ref_sparse(rows)
+    # the relations among shuffled rows are the same relations, permuted
+    perm, order = shuffled(data, vecs)
+    back = [{order[i]: c for i, c in row.items()} for row in kernel_of_rows(perm, ncols).rows]
+    assert span(back, len(vecs)) == kern
+
+
+@settings(max_examples=100, deadline=None)
+@given(crowded_families(), crowded_families(), st.data())
+def test_crowded_intersection_matches_reference_in_any_order(fa, fb, data):
+    ncols = min(fa[0], fb[0])
+    va = [{j: c for j, c in v.items() if j < ncols} for v in fa[1]]
+    # some of B lies in A: those rows leave no remainder to eliminate
+    vb = [{j: c for j, c in v.items() if j < ncols} for v in fb[1]] + va[:2]
+    meet = intersect_subspaces(span(va, ncols), span(vb, ncols))
+    rows, _ = ref_rref(ref_intersection(va, vb, ncols), ncols)
+    assert as_fractions(meet.rows) == ref_sparse(rows)
+    sa, sb = span(shuffled(data, va)[0], ncols), span(shuffled(data, vb)[0], ncols)
+    assert intersect_subspaces(sb, sa) == meet
