@@ -45,7 +45,7 @@ from .linalg import (
 )
 from .rationals import ONE, ZERO
 from .rings import Exp, Grading, MultiPoly, Ring, grading_for, ring, slice_monomials
-from .rootdata import RootDatum, mat_vec, weyl_elements
+from .rootdata import RootDatum
 
 # ---- type A ring helpers ----
 
@@ -734,79 +734,3 @@ def flag_pair_element(k: int) -> dict:
     """y times the t = 0 limit of the pair class: (k,e) - (k,s)."""
     return {(k, "e"): ONE, (k, "s"): -ONE}
 
-
-# ---- anti-invariants ----
-
-
-def lattice_alternant(rd: RootDatum, rg: Ring, lam: Exp, ydeg_exp: Exp) -> MultiPoly:
-    """Signed Weyl symmetrization of x^lam y^exp over the lattice ring."""
-    ynames = y_names(rd.yrank)
-    out = MultiPoly.zero(rg)
-    ymono = {n: e for n, e in zip(ynames, ydeg_exp)}
-    for lat, ymat, sign in weyl_elements(rd):
-        new_lam = mat_vec(lat, lam)
-        exp = [0] * rg.nvars
-        for i, e in enumerate(new_lam):
-            exp[rg.index(f"x{i+1}")] = e
-        xpart = MultiPoly.monomial(rg, tuple(exp), sign)
-        ypart = MultiPoly.one(rg)
-        for col, name in enumerate(ynames):
-            e = ymono.get(name, 0)
-            if not e:
-                continue
-            image = MultiPoly.zero(rg)
-            for row_i in range(rd.yrank):
-                if ymat[row_i][col]:
-                    image = image + MultiPoly.gen(rg, ynames[row_i]) * ymat[row_i][col]
-            ypart = ypart * image**e
-        out = out + xpart * ypart
-    return out
-
-
-@dataclass
-class InclusionReport:
-    ok: bool
-    checked: int
-    failures: list = field(default_factory=list)
-    status: str = "stabilized"
-
-
-def anti_invariant_inclusion_check(
-    rd: RootDatum,
-    d: int,
-    bounds: Sequence[tuple[int, int]],
-    samples: Sequence[tuple[Exp, Exp]],
-    margin: int | None = None,
-) -> InclusionReport:
-    """Products of d alternants lie in the windowed root-ideal intersection.
-
-    samples are (lattice point, y exponent) seeds; each d-fold product of
-    their alternants is tested for membership. The window must contain
-    the full Weyl orbits of the sampled supports.
-    """
-    rg = lattice_ring(rd)
-    grading = lattice_grading(rd, rg)
-    report = InclusionReport(ok=True, checked=0)
-    alts = [lattice_alternant(rd, rg, lam, yexp) for lam, yexp in samples]
-    alts = [a for a in alts if not a.is_zero()]
-    slices: dict[int, SliceResult] = {}
-    for combo in itertools.combinations_with_replacement(range(len(alts)), d):
-        prod = MultiPoly.one(rg)
-        for idx in combo:
-            prod = prod * alts[idx]
-        if prod.is_zero():
-            continue
-        ydeg = grading.poly_degree(prod)
-        if ydeg is None:
-            raise ValueError("alternant product is not y-homogeneous")
-        target = slices.get(ydeg[0])
-        if target is None:
-            target = jd_root_slice(rd, d, ydeg[0], bounds, margin)
-            slices[ydeg[0]] = target
-            if target.status != "stabilized":
-                report.status = "inconclusive"
-        report.checked += 1
-        if not target.contains_poly(prod):
-            report.ok = False
-            report.failures.append(str(prod))
-    return report

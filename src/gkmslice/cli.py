@@ -361,22 +361,16 @@ def cmd_conjecture_check(args) -> int:
 
 
 def cmd_compare_knot(args) -> int:
-    key = args.link.strip().upper().replace(" ", "")
-    pinned = [nd for nd, curve in curves.CURVES.items() if curve.link is not None]
-    found = [f"T({n},{dn})" for n, dn in pinned if key in (f"T{n}{dn}", f"T({n},{dn})")]
-    if not found:
-        links = " or ".join(f"T{n}{dn}" for n, dn in pinned)
-        raise ValueError(f"unknown link {args.link!r} (use {links})")
-    name = found[0]
-    report = curves.knot_compare(name)
+    report = curves.knot_compare(args.link)
+    name = report.link
     normalization = f"T^{report.shift}" if report.shift is not None else None
     payload = {
         "link": name,
         "status": "PASS" if report.ok else "FAIL",
         "equal": report.ok,
         "normalization": normalization,
-        "factor_used": report.factor_used,
-        "alternate_factor": report.alternate_factor,
+        "factor_used": curves.PUNCTUAL_FACTOR,
+        "alternate_factor": curves.ALTERNATE_FACTOR,
         "first_mismatch": None if report.ok else "series differ beyond a T power",
     }
     if args.format == "json":

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .arrangement import _derivation_kernel, _generated_slice, _xy_slice, xy_ring
-from .linalg import Subspace, intersect_subspaces, sum_subspaces
+from .linalg import Subspace
 from .rationals import rat
 from .rings import MultiPoly, Ring, ring
 from .series import RationalSeries, equal_up_to_monomial
@@ -209,39 +209,34 @@ CURVES = {
 
 @dataclass
 class KnotCompareReport:
-    name: str
+    link: str  # canonical "T(n,dn)"
     ok: bool
     shift: int | None  # g with punctual * T^g == reference
-    factor_used: str
-    alternate_factor: str
     punctual: RationalSeries
 
 
 def knot_compare(name: str) -> KnotCompareReport:
     """Compare a curve's punctual series against its pinned link series.
 
-    "T(n,dn)" (spaces, parentheses and commas optional) names the curve
-    (n, dn) of `CURVES`, whose punctual series is taken with r = n; links
-    are pinned for T(2,4) and T(3,3). Equality is tested exactly,
-    allowing one overall power of T which is computed and reported.
+    name is "T{n}{dn}" or "T({n},{dn})", case-insensitive, spaces
+    ignored, for a curve (n, dn) of `CURVES` with a pinned link: T(2,4)
+    or T(3,3). The punctual series is taken with r = n. Equality is
+    tested exactly, allowing one overall power of T which is computed
+    and reported.
     """
-    key = name.upper()
-    for ch in " (),":
-        key = key.replace(ch, "")
-    for (n, dn), curve in CURVES.items():
-        if curve.link is not None and key == f"T{n}{dn}":
+    key = name.strip().upper().replace(" ", "")
+    pinned = [nd for nd, curve in CURVES.items() if curve.link is not None]
+    for n, dn in pinned:
+        if key in (f"T{n}{dn}", f"T({n},{dn})"):
             break
     else:
-        raise ValueError(f"no reference series for {name!r}")
+        links = " or ".join(f"T{n}{dn}" for n, dn in pinned)
+        raise ValueError(f"unknown link {name!r} (use {links})")
+    curve = CURVES[(n, dn)]
     punctual = knot_substitution(punctual_series(curve.series(), n))
     shift = equal_up_to_monomial(punctual, curve.link(), "T")
     return KnotCompareReport(
-        name=name,
-        ok=shift is not None,
-        shift=shift,
-        factor_used=PUNCTUAL_FACTOR,
-        alternate_factor=ALTERNATE_FACTOR,
-        punctual=punctual,
+        link=f"T({n},{dn})", ok=shift is not None, shift=shift, punctual=punctual
     )
 
 
@@ -350,107 +345,3 @@ def conjecture_vs_msv(n: int, d: int, order: int = 6) -> ConjectureReport:
                 report.mismatches.append(((N, M), str(coeff), dim))
     return report
 
-
-# ---- the three-plane relation family (n = 3, d = 1) ----
-
-
-def _u_family(rg: Ring, which: int, ydeg: int) -> list:
-    """Generators of U_i = (x_j - x_k) Q[x1,x2,x3, y_j + y_k, y_i] of one
-    y-degree."""
-    j, k = [a for a in (1, 2, 3) if a != which]
-    xj, xk = MultiPoly.gen(rg, f"x{j}"), MultiPoly.gen(rg, f"x{k}")
-    ysum = MultiPoly.gen(rg, f"y{j}") + MultiPoly.gen(rg, f"y{k}")
-    yi = MultiPoly.gen(rg, f"y{which}")
-    return [
-        ((xj - xk) * ysum**p * yi ** (ydeg - p), (1, ydeg)) for p in range(ydeg + 1)
-    ]
-
-
-@dataclass
-class FamilyReport:
-    order: int
-    ok: bool
-    mismatches: list = field(default_factory=list)
-
-
-def _family_series() -> dict[str, RationalSeries]:
-    one = MultiPoly.one(QT_RING)
-    q = MultiPoly.gen(QT_RING, "q")
-    t = MultiPoly.gen(QT_RING, "t")
-    a = one - q
-    b = one - q * t * t
-    return {
-        "U": RationalSeries(q, ((a, 3), (b, 2))),
-        "U12": RationalSeries(q * q, ((a, 3), (b, 1))),
-        "U12_3": RationalSeries(
-            _poly(QT_RING, {(1, 0): 1, (4, 2): 1}), ((a, 3), (b, 1))
-        ),
-        "quotient": quotient_closed_form(),
-    }
-
-
-def quotient_closed_form() -> RationalSeries:
-    """Closed form for Q[x, y] / (U_1 + U_2 + U_3) with three branches."""
-    one = MultiPoly.one(QT_RING)
-    q = MultiPoly.gen(QT_RING, "q")
-    t = MultiPoly.gen(QT_RING, "t")
-    a = one - q
-    b = one - q * t * t
-    return (
-        RationalSeries(one, ((a, 3), (b, 3)))
-        - RationalSeries(q * 3, ((a, 3), (b, 2)))
-        + RationalSeries(
-            _poly(QT_RING, {(1, 0): 1, (2, 0): 1, (4, 2): 1}), ((a, 3), (b, 1))
-        )
-    )
-
-
-def family_quotient_identity() -> bool:
-    """Exact identity: the planes' quotient closed form equals the
-    assembled three-lines series under L -> t^2."""
-    mapped = msv_assemble(three_lines_spec()).map_monomials([[1, 0], [0, 2]], QT_RING)
-    return mapped == quotient_closed_form()
-
-
-def grdim_family_check(order: int = 5) -> FamilyReport:
-    """Slice the three relation planes and compare all graded dimensions.
-
-    Checks dim U_i, dim(U_1 cap U_2), dim((U_1 + U_2) cap U_3) and
-    dim(U_1 + U_2 + U_3) against their closed forms through the given
-    q-order, plus the exact rank chain identity linking them.
-    """
-    series = {k: s.expand(order, ["q"]).terms for k, s in _family_series().items()}
-    report = FamilyReport(order=order, ok=True)
-
-    def expect(key: str, deg) -> int:
-        c = series[key].get(deg, rat(0))
-        return int(c)
-
-    for N in range(order + 1):
-        for ydeg in range(N + 1):
-            deg, xy = (N, 2 * ydeg), (N - ydeg, ydeg)
-            rg, grading, basis = _xy_slice(3, xy)
-            u1, u2, u3 = (
-                _generated_slice(rg, grading, xy, basis, [_u_family(rg, i, ydeg)]).space
-                for i in (1, 2, 3)
-            )
-            u12 = intersect_subspaces(u1, u2)
-            s12 = sum_subspaces(u1, u2)
-            u12_3 = intersect_subspaces(s12, u3)
-            v = sum_subspaces(s12, u3)
-            checks = [
-                ("U", u1.rank),
-                ("U", u2.rank),
-                ("U", u3.rank),
-                ("U12", u12.rank),
-                ("U12_3", u12_3.rank),
-                ("quotient", len(basis) - v.rank),
-            ]
-            for key, got in checks:
-                if expect(key, deg) != got:
-                    report.ok = False
-                    report.mismatches.append((key, deg, expect(key, deg), got))
-            if v.rank != u1.rank + u2.rank + u3.rank - u12.rank - u12_3.rank:
-                report.ok = False
-                report.mismatches.append(("rank-chain", deg, None, v.rank))
-    return report

@@ -143,11 +143,6 @@ class MultiPoly:
         exp = max(self.terms, key=monomial_key)
         return exp, self.terms[exp]
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -390,18 +385,6 @@ class Grading:
     """Per-variable integer weight pairs; degree of x^e is sum(e_i * w_i)."""
 
     weights: tuple[tuple[int, int], ...]
-
-    def degree(self, exp: Exp) -> tuple[int, int]:
-        a = sum(e * w[0] for e, w in zip(exp, self.weights))
-        b = sum(e * w[1] for e, w in zip(exp, self.weights))
-        return (a, b)
-
-    def poly_degree(self, p: MultiPoly) -> tuple[int, int] | None:
-        """Common bidegree of all terms, or None if inhomogeneous or zero."""
-        degs = {self.degree(e) for e in p.terms}
-        if len(degs) != 1:
-            return None
-        return degs.pop()
 
 
 def grading_for(rg: Ring, table: Mapping[str, tuple[int, int]]) -> Grading:

@@ -145,14 +145,6 @@ def weyl_elements(rd: RootDatum) -> list[tuple[IntMat, IntMat, int]]:
     return [(lat, yy, det(lat)) for lat, yy in order]
 
 
-def vandermonde(rd: RootDatum, ring: Ring, y_names: list[str]) -> MultiPoly:
-    """Product of the positive-root linear forms in y."""
-    out = MultiPoly.one(ring)
-    for i in range(rd.npos):
-        out = out * rd.root_form(ring, i, y_names)
-    return out
-
-
 def _gl(n: int) -> RootDatum:
     roots = []
     for i in range(n):
@@ -253,14 +245,3 @@ def root_datum(label: str, n: int | None = None) -> RootDatum:
         return _sl(size)
     raise ValueError(f"unknown root datum label {label!r}")
 
-
-def rootdatum_to_json(rd: RootDatum) -> dict:
-    return {
-        "label": rd.label,
-        "rank": rd.rank,
-        "roots": [list(r) for r in rd.roots],
-        "coroots": [list(c) for c in rd.coroots],
-        "reflections": [
-            [list(row) for row in rd.reflection_on_lattice(i)] for i in range(rd.npos)
-        ],
-    }

@@ -14,10 +14,10 @@ constant term and denominator terms that all raise the capped grade.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .rationals import ZERO, rat, rat_parts
-from .rings import MultiPoly, Ring, monomial_key, poly_divide_exact, poly_from_json, poly_to_json
+from .rings import MultiPoly, Ring, monomial_key, poly_divide_exact, poly_to_json
 
 
 def _poly_key(p: MultiPoly):
@@ -299,8 +299,3 @@ def equal_up_to_monomial(a: RationalSeries, b: RationalSeries, var: str) -> int 
 def series_to_json(s: RationalSeries) -> dict:
     return {"num": poly_to_json(s.num), "den": poly_to_json(s.den())}
 
-
-def series_from_json(obj: Mapping, ring: Ring) -> RationalSeries:
-    num = poly_from_json(obj["num"], ring)
-    den = poly_from_json(obj["den"], ring)
-    return RationalSeries(num, ((den, 1),))

@@ -12,7 +12,6 @@ from gkmslice.arrangement import (
     _window_dict,
     alternant,
     alternant_slice,
-    anti_invariant_inclusion_check,
     catalan_quotient,
     flag_pair_element,
     flag_rank1_module_slice,
@@ -299,14 +298,6 @@ def test_flag_module_window():
         assert result.contains(flag_step_element(k))
     # the class of a single vertex is not in the submodule
     assert not result.contains({(0, "e"): 1})
-
-
-def test_anti_invariant_inclusion_gl2():
-    rd = root_datum("GL2")
-    samples = [((1, 0), ()), ((2, 0), ()), ((2, 1), ())]
-    report = anti_invariant_inclusion_check(rd, 1, [(0, 3), (0, 3)], samples)
-    assert report.ok
-    assert report.checked == 3
 
 
 def test_stabilize_reports_inconclusive_growth():

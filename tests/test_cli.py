@@ -328,6 +328,11 @@ def test_curve_spellings_resolve_to_one_catalogue_entry(capsys, key):
     for spelling in (link, f"T{n}{dn}"):
         code, out = run_cli(capsys, ["compare-knot", "--link", spelling])
         assert code == 0 and json.loads(out)["link"] == link
+    rejected = f"T{n},{dn}"
+    assert cli.main(["compare-knot", "--link", rejected]) == 64
+    assert f"unknown link {rejected!r} (use T24 or T33)" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        curves.knot_compare(rejected)
     report = curves.knot_compare(link)
     assert report.ok
     expected = curves.knot_substitution(curves.punctual_series(curve.series(), n))

@@ -4,12 +4,8 @@ import pytest
 
 from gkmslice import curves
 from gkmslice.curves import (
-    ALTERNATE_FACTOR,
-    PUNCTUAL_FACTOR,
     QL_RING,
     conjecture_vs_msv,
-    family_quotient_identity,
-    grdim_family_check,
     knot_compare,
     knot_substitution,
     line_series,
@@ -59,13 +55,13 @@ def test_line_series_expansion():
 def test_knot_t24_normalization_zero():
     report = knot_compare("T(2,4)")
     assert report.ok and report.shift == 0
-    assert report.factor_used == PUNCTUAL_FACTOR
+    assert report.link == "T(2,4)"
 
 
 def test_knot_t33_normalization_three():
-    report = knot_compare("T33")
+    report = knot_compare("t 33")
     assert report.ok and report.shift == 3
-    assert report.alternate_factor == ALTERNATE_FACTOR
+    assert report.link == "T(3,3)"
 
 
 def test_alternate_punctual_factor_fails():
@@ -78,7 +74,7 @@ def test_alternate_punctual_factor_fails():
 
 
 def test_unknown_link_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown link 'T\(5,5\)' \(use T24 or T33\)$"):
         knot_compare("T(5,5)")
 
 
@@ -131,15 +127,6 @@ def test_conjecture_table_is_the_quotient_slices_in_order(n, d, monkeypatch):
 def test_conjecture_rejects_unknown_pair():
     with pytest.raises(ValueError):
         conjecture_vs_msv(4, 1)
-
-
-def test_family_dimensions_match_closed_forms():
-    report = grdim_family_check(order=4)
-    assert report.ok, report.mismatches[:3]
-
-
-def test_family_quotient_identity_exact():
-    assert family_quotient_identity()
 
 
 def test_punctual_series_clears_poles():

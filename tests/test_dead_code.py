@@ -9,6 +9,12 @@ perfbench/tracer.py names what it wraps), and the code spans of
 README.md. Words in docstrings and prose do not count. Dunder methods
 are called by the language and are skipped.
 
+A definition that only unit tests name fails too, unless `TEST_SURFACE`
+lists it with the reason it stays. A definition is reached when
+something in src/, perfbench/, tests/test_acceptance.py or the code
+spans of README.md names it; a listed name that is reached, or no
+longer named by the unit tests, fails as a stale entry.
+
 It also fails on a field of a `@dataclass` that no Python source under
 src/, tests/ or perfbench/ reads as an attribute: a field that is set
 everywhere and read nowhere. A read of a command-line option
@@ -24,10 +30,27 @@ PACKAGE = sorted((ROOT / "src" / "gkmslice").glob("*.py"))
 SOURCES = sorted(
     path for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py")
 )
+# Sources whose references reach a definition: everything but the unit tests.
+REACHING = [
+    path
+    for path in SOURCES
+    if path.parent.name != "tests" or path.name == "test_acceptance.py"
+]
+
+# Definitions that only unit tests name, keyed "module.qualname", with
+# the reason each stays.
+TEST_SURFACE = {
+    "arrangement.SliceResult.contains_poly": "how the slice tests state ideal membership",
+    "gkm.class_to_json": "writes the class files that the gkm-verify --classes-file tests read",
+    "linalg.Subspace.pivots": "compared with the Fraction reference by the linalg property tests",
+    "linalg.Subspace.reduce": "compared with the Fraction reference by the linalg property tests",
+    "rootdata.mat_vec": "checks that the hand-typed _FIXED reflections permute the roots",
+    "rootdata.weyl_elements": "checks the Weyl group orders of the hand-typed _FIXED tables",
+}
 
 
-def definitions(source: str) -> list[tuple[str, int]]:
-    """(name, line) of each top-level function or class and each method."""
+def qualified_definitions(source: str) -> list[tuple[str, int]]:
+    """(qualname, line) of each top-level function or class and each method."""
     out = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -35,8 +58,13 @@ def definitions(source: str) -> list[tuple[str, int]]:
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    out.append((item.name, item.lineno))
-    return [(name, line) for name, line in out if not name.startswith("__")]
+                    out.append((f"{node.name}.{item.name}", item.lineno))
+    return [(q, line) for q, line in out if not q.split(".")[-1].startswith("__")]
+
+
+def definitions(source: str) -> list[tuple[str, int]]:
+    """(name, line) of each top-level function or class and each method."""
+    return [(q.split(".")[-1], line) for q, line in qualified_definitions(source)]
 
 
 def references(source: str) -> set[str]:
@@ -115,6 +143,29 @@ def unreferenced(package: dict[str, str], used: set[str]) -> list[str]:
     )
 
 
+def unlisted_test_surface(
+    package: dict[str, str], reached: set[str], tested: set[str], surface: dict[str, str]
+) -> list[str]:
+    """Test-only definitions missing from surface, then stale surface entries.
+
+    package is keyed by file name; a definition is "module.qualname".
+    """
+    only_tested = tested - reached
+    test_only = {
+        f"{Path(path).stem}.{qual}": line
+        for path, source in package.items()
+        for qual, line in qualified_definitions(source)
+        if qual.split(".")[-1] in only_tested
+    }
+    unlisted = sorted(
+        f"{key} (line {line}; list it in TEST_SURFACE or delete it)"
+        for key, line in test_only.items()
+        if key not in surface
+    )
+    stale = sorted(f"{key} (stale TEST_SURFACE entry)" for key in surface if key not in test_only)
+    return unlisted + stale
+
+
 def test_detector_flags_an_unnamed_function():
     package = {"m.py": "def used():\n    '''unused appears in prose'''\n\n\ndef unused():\n    pass\n"}
     used = references("from m import used\nused()\n") | markdown_references("run `used` once")
@@ -131,6 +182,34 @@ def test_every_definition_is_named_somewhere():
     used |= markdown_references((ROOT / "README.md").read_text())
     package = {path.name: path.read_text() for path in PACKAGE}
     assert unreferenced(package, used) == []
+
+
+def test_detector_flags_a_definition_only_unit_tests_name():
+    package = {
+        "m.py": "def shipped():\n    pass\n\n\ndef probe():\n    pass\n\n\n"
+        "class A:\n    def listed(self):\n        pass\n"
+    }
+    reached = references("from m import shipped, A\nshipped()\nA()\n")
+    tested = references("from m import probe, A\nprobe()\nA().listed()\nshipped()\n")
+    assert unlisted_test_surface(package, reached, tested, {"m.A.listed": "why"}) == [
+        "m.probe (line 5; list it in TEST_SURFACE or delete it)"
+    ]
+    surface = {"m.A.listed": "why", "m.probe": "why", "m.shipped": "why", "m.gone": "why"}
+    assert unlisted_test_surface(package, reached, tested, surface) == [
+        "m.gone (stale TEST_SURFACE entry)",
+        "m.shipped (stale TEST_SURFACE entry)",
+    ]
+
+
+def test_only_unit_tests_name_just_the_listed_surface():
+    reached = markdown_references((ROOT / "README.md").read_text())
+    for path in REACHING:
+        reached |= references(path.read_text())
+    tested = set()
+    for path in set(SOURCES) - set(REACHING):
+        tested |= references(path.read_text())
+    package = {path.name: path.read_text() for path in PACKAGE}
+    assert unlisted_test_surface(package, reached, tested, TEST_SURFACE) == []
 
 
 def test_detector_flags_an_unread_dataclass_field():

@@ -7,8 +7,6 @@ from gkmslice.rootdata import (
     mat_mul,
     mat_vec,
     root_datum,
-    rootdatum_to_json,
-    vandermonde,
     weyl_elements,
 )
 
@@ -81,24 +79,3 @@ def test_gl2_lattice_pairing():
     assert rd.coroots == ((1, -1),)
     lam = (3, 1)
     assert rd.pair(0, lam) == 2
-
-
-def test_vandermonde_is_product_of_root_forms():
-    from gkmslice.rings import ring
-
-    rd = root_datum("A2")
-    rg = ring(["y1", "y2"])
-    names = ["y1", "y2"]
-    v = vandermonde(rd, rg, names)
-    prod = rd.root_form(rg, 0, names)
-    for i in range(1, rd.npos):
-        prod = prod * rd.root_form(rg, i, names)
-    assert v == prod
-    assert v.total_degree() == rd.npos
-
-
-def test_json_shape():
-    obj = rootdatum_to_json(root_datum("A2"))
-    assert obj["label"] == "A2"
-    assert len(obj["roots"]) == len(obj["coroots"]) == 3
-    assert all(len(m) == obj["rank"] for m in obj["reflections"][0])
