@@ -14,10 +14,17 @@ connected component of the chi-subgraph.
 
 Each graph computes the primitive directions of its edge weights once
 (GkmGraph.directions) and each verification computes those of the
-class's denominator factors once, next to their coefficient vectors. A
-residue then needs no further direction: a factor f off the wall chi = 0
-restricts to the coefficient vector f - (f_p / chi_p) chi, where p is
-chi's first supported variable.
+class's denominator factors once, next to their coefficient vectors.
+Residues are computed in integer direction arithmetic: with d chi's
+primitive direction and p its first nonzero index, a factor s e off the
+wall chi = 0 (e its primitive direction) restricts to (s / d_p) w, where
+w = d_p e - e_p d is an integer vector. A residue is its numerator over
+a product of such vectors made primitive (keys), with every scalar
+folded into the numerator. The residues of a component are summed once
+over their common denominator, the largest multiplicity of each key, and
+the residue condition holds when that integer-keyed numerator sum is
+zero. A RationalSeries is built only for a nonzero sum, to print the
+failure.
 """
 
 from __future__ import annotations
@@ -171,16 +178,20 @@ def linear_data(p: MultiPoly) -> Linear:
     return primitive_direction(p), linear_coeffs(p)
 
 
-def residue_along(form: LocalForm, chi: Linear, factors: Sequence[Linear]) -> RationalSeries:
-    """Residue of the form along the hyperplane chi = 0.
+Key = tuple[int, ...]  # primitive integer vector, first nonzero entry positive
+ResidueTerms = tuple[MultiPoly, dict]  # (numerator, {Key: multiplicity})
 
-    chi is the character's linear_data and factors[i] that of form.den[i].
-    Zero when the form has no pole parallel to chi; errors on a higher
-    order pole. chi = 0 eliminates chi's first supported variable p: the
-    numerator is substituted, and each off-wall factor f becomes the
-    vector f - (f_p / chi_p) chi. The result depends on the scale of chi
-    only through a global factor, so zero-tests of residue sums are
-    scale independent.
+
+def _residue_terms(form: LocalForm, chi: Linear, factors: Sequence[Linear]) -> ResidueTerms | None:
+    """Residue of the form along chi = 0 as numerator / prod key^m.
+
+    None when the form has no pole parallel to chi; errors on a higher
+    order pole. With d chi's direction and p its pivot (first nonzero
+    index, d_p > 0), the numerator is substituted at chi = 0 and scaled
+    by chi_p / g_p for the on-wall factor g. An off-wall factor s e (e
+    its direction) restricts to (s / d_p) w with the integer vector
+    w = d_p e - e_p d; w made primitive is the factor's key, and the
+    scalars of all factors fold into one rational.
     """
     rg = form.num.ring
     direction, chi_c = chi
@@ -188,7 +199,7 @@ def residue_along(form: LocalForm, chi: Linear, factors: Sequence[Linear]) -> Ra
     if len(on_wall) > 1:
         raise ValueError("pole of order > 1 along the character")
     if not on_wall:
-        return RationalSeries.zero(rg)
+        return None
     pivot = next(i for i, c in enumerate(chi_c) if c != 0)
     a = chi_c[pivot]
     image = MultiPoly.zero(rg)
@@ -196,19 +207,66 @@ def residue_along(form: LocalForm, chi: Linear, factors: Sequence[Linear]) -> Ra
         if i == pivot or c == 0:
             continue
         image = image - MultiPoly.gen(rg, rg.names[i]) * (c / a)
-    num = form.num.substitute({rg.names[pivot]: image}, rg) * (a / on_wall[0][pivot])
-    restricted = []
-    for dvec, f_c in factors:
-        if dvec == direction:
+    top, bottom = rat_parts(a / on_wall[0][pivot])
+    d_p = direction[pivot]
+    keys: dict = {}
+    for e, f_c in factors:
+        if e == direction:
             continue
-        r = f_c[pivot] / a
-        terms = {}
-        for i, (f_i, chi_i) in enumerate(zip(f_c, chi_c)):
-            v = f_i - r * chi_i
-            if v != 0:
-                terms[rg.unit_exp(i)] = v
-        restricted.append((MultiPoly(rg, terms, _clean=True), 1))
-    return RationalSeries(num, restricted)
+        w = [d_p * e_i - e[pivot] * d_i for e_i, d_i in zip(e, direction)]
+        g = gcd(*w)
+        if next(v for v in w if v) < 0:
+            g = -g
+        key = tuple(v // g for v in w)
+        keys[key] = keys.get(key, 0) + 1
+        # f = s e with s = f_j / e_j at e's first nonzero index j, and
+        # f restricts to (s g / d_p) key: divide by that scalar
+        j = next(i for i, v in enumerate(e) if v)
+        s_num, s_den = rat_parts(f_c[j])
+        top *= d_p * s_den * e[j]
+        bottom *= s_num * g
+    num = form.num.substitute({rg.names[pivot]: image}, rg) * rat(top, bottom)
+    return num, keys
+
+
+def _key_poly(rg: Ring, key: Key) -> MultiPoly:
+    return MultiPoly(rg, {rg.unit_exp(i): rat(v) for i, v in enumerate(key) if v}, _clean=True)
+
+
+def _as_series(num: MultiPoly, keys: dict) -> RationalSeries:
+    return RationalSeries(num, [(_key_poly(num.ring, k), m) for k, m in keys.items()])
+
+
+def residue_along(form: LocalForm, chi: Linear, factors: Sequence[Linear]) -> RationalSeries:
+    """Residue of the form along the hyperplane chi = 0.
+
+    chi is the character's linear_data and factors[i] that of form.den[i].
+    Zero when the form has no pole parallel to chi; errors on a higher
+    order pole. The result depends on the scale of chi only through a
+    global factor, so zero-tests of residue sums are scale independent.
+    """
+    terms = _residue_terms(form, chi, factors)
+    return RationalSeries.zero(form.num.ring) if terms is None else _as_series(*terms)
+
+
+def _residue_sum(residues: Sequence[ResidueTerms]) -> tuple[MultiPoly, dict]:
+    """(numerator, {Key: multiplicity}) of a nonempty sum of residues over
+    their common denominator: each key at its largest multiplicity."""
+    rg = residues[0][0].ring
+    den: dict = {}
+    for _, keys in residues:
+        for k, m in keys.items():
+            if m > den.get(k, 0):
+                den[k] = m
+    polys = {k: _key_poly(rg, k) for k in den}
+    total = MultiPoly.zero(rg)
+    for num, keys in residues:
+        for k, m in den.items():
+            missing = m - keys.get(k, 0)
+            if missing:
+                num = num * polys[k] ** missing
+        total = total + num
+    return total, den
 
 
 # Failure kinds that say a class does not fit the graph; residue sums are
@@ -260,8 +318,13 @@ def verify_residue_conditions(graph: GkmGraph, cls: ClassTuple) -> VerifyReport:
     chi-subgraph.
 
     Edge directions come from the graph's direction table; each factor's
-    direction and coefficient vector are computed once, in the pole pass,
-    and passed to residue_along for every character.
+    direction and coefficient vector are computed once, in the pole pass.
+    Only characters along which the class has a pole get a union-find of
+    their subgraph. Each residue is a numerator over integer keys (see
+    _residue_terms); a component's residues are summed once over their
+    common denominator, and that numerator is tested for zero. A nonzero
+    sum is reported as the RationalSeries it defines, whose normal form
+    is unique because the keys are linear and pairwise non-associate.
     """
     report = VerifyReport(ok=True)
     groups: dict[tuple, list] = {}  # direction -> its edges, in edge order
@@ -275,10 +338,10 @@ def verify_residue_conditions(graph: GkmGraph, cls: ClassTuple) -> VerifyReport:
             report.add_failure("vertex-outside-window", vertex=repr(v))
             return report
     # pole positions and orders
-    poles: dict[VertexKey, set] = {}
+    holders: dict[tuple, list] = {}  # direction -> vertices with a pole along it
     factors: dict[VertexKey, list] = {}  # vertex -> linear_data of each factor
     for v in sorted(cls, key=repr):
-        seen = poles[v] = set()
+        seen = set()
         data = factors[v] = []
         for f in cls[v].den:
             try:
@@ -296,35 +359,32 @@ def verify_residue_conditions(graph: GkmGraph, cls: ClassTuple) -> VerifyReport:
                     "pole-order-too-high", vertex=repr(v), factor=str(f)
                 )
             seen.add(direction)
+            holders.setdefault(direction, []).append(v)
             data.append(linear)
     if not report.ok:
         return report
     # residue sums per character and component
-    for direction in sorted(groups):
+    report.characters_checked = len(groups)
+    for direction in sorted(holders):
         group = groups[direction]
         chi = group[0][2]
         chi_data = (direction, linear_coeffs(chi))
         uf = _UnionFind()
         for a, b, _ in group:
             uf.union(a, b)
-        report.characters_checked += 1
-        sums: dict = {}
-        for v, form in cls.items():
-            if direction not in poles[v]:
-                continue
-            root = uf.find(v)
-            acc = sums.get(root)
-            res = residue_along(form, chi_data, factors[v])
-            sums[root] = res if acc is None else acc + res
-        for root in sorted(sums, key=repr):
+        components: dict = {}  # root -> residue terms of its vertices
+        for v in holders[direction]:
+            terms = _residue_terms(cls[v], chi_data, factors[v])
+            components.setdefault(uf.find(v), []).append(terms)
+        for root in sorted(components, key=repr):
             report.components_checked += 1
-            total = sums[root]
+            total, den = _residue_sum(components[root])
             if not total.is_zero():
                 report.add_failure(
                     "residue-sum-nonzero",
                     character=str(chi),
                     component=repr(root),
-                    residue=str(total),
+                    residue=str(_as_series(total, den)),
                 )
     return report
 

@@ -447,7 +447,8 @@ def restrict_to_columns(vectors: Iterable[Row], keep: Sequence[int], ncols: int)
 
     def permuted():
         for vec in vectors:
-            v, _ = _integer(vec)
-            yield {order[j]: c for j, c in v.items()}
+            if not all(type(c) is int for c in vec.values()):
+                vec = _integer(vec)[0]
+            yield {order[j]: c for j, c in vec.items()}
 
     return _kernel(permuted(), base, len(keep))

@@ -7,8 +7,9 @@ import pytest
 
 from gkmslice import __version__, cli, curves
 from gkmslice.arrangement import QuotientResult
-from gkmslice.gkm import class_to_json, perturb_numerator, sl2_classes
+from gkmslice.gkm import class_to_json, flag_rank1_classes, perturb_numerator, sl2_classes
 from gkmslice.rationals import HAVE_GMPY2
+from test_gkm import _b2_graph, _b2_line_class
 
 
 def run_cli(capsys, argv):
@@ -310,6 +311,62 @@ def test_curve_side_stdout_is_pinned(capsys, command):
         code, out = run_cli(capsys, command.split() + ["--format", fmt])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == expected, (command, fmt)
+
+
+def _perturbed_class(name):
+    """(gkm-verify graph arguments, class) for each pinned failing class:
+    a known class with 1 added to one numerator."""
+    if name.startswith("SL2"):
+        d = int(name[-1])
+        return ["--group", "SL2", "--d", str(d)], perturb_numerator(sl2_classes(d, 0), (1,))
+    if name == "B2 line":
+        cls = _b2_line_class(_b2_graph())
+        return ["--group", "B2", "--d", "2", "--window=-1:1"], perturb_numerator(cls, (0, 0))
+    cls = flag_rank1_classes("pair", 1)
+    return ["--group", "FLAG"], perturb_numerator(cls, (1, "e"))
+
+
+# sha256 of `gkm-verify --classes-file bad.json` stdout in the json, csv
+# and human formats: the failure records, residue strings included.
+GKM_VERIFY_FAILURE_DIGESTS = {
+    "SL2 d=1": (
+        "5cb0467461142e5c7d2c898e38873cc06c7918ad72c853d7075148d12bfbd2b8",
+        "5a6476d75bb3d380bacc5c8dd894030cd95f0d9d86c3d96378a90aa5772cff2b",
+        "563057817d92c73c3f569b0842b964df17265f03f84eb52b8b15e9d818ffd30d",
+    ),
+    "SL2 d=2": (
+        "5aa9bcfefc556e84827b4f780979a4b1f2f6c44c1365edab18dad22e2c356e17",
+        "3e3b35f3128221055768710f86b7628b675f8092df5f0063d021da7cc13c93de",
+        "1d4e8940437ccded7b9d06b97cf9d23e2c71f7efd5179ea37b4715d5d748210c",
+    ),
+    "SL2 d=3": (
+        "70374e589a878e179878634793ec0eb9f77e333baa3852d8cfc24b9f2ac24a46",
+        "2535a3ba845b8a512b76fbe2152fc7ac849a10f19dfd9fbfaaee330eb2f8bd87",
+        "6116b59d06ae94e1074fb76e739c3aa9658a0ade8c117eae46749081be1eac34",
+    ),
+    "B2 line": (
+        "392537678b457893f3138cd4ce47af3b9e82b764acd2aa78d28a7e18b9f3b298",
+        "1d84ecc5aba634c3357ba98f58cafbc0e7633bab5bc7c25d931f0bb3329c894d",
+        "4065efa4653e8dd04d4363dc8685a679b2dad0a02fceef2e2a9d5acf69d98b03",
+    ),
+    "FLAG pair1": (
+        "c65d38041289923699441101dea773774c7be48f2dfedc16cfa643af0dbc0763",
+        "14162b7cf59fe8f6623d3d92778a4130e31c4ac705bce271021a33332dcc986f",
+        "94b9fb3160e47969a95115cc88903669770bfd0403abbf520fda2b8e8da5fdfc",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GKM_VERIFY_FAILURE_DIGESTS))
+def test_gkm_verify_failure_stdout_is_pinned(capsys, tmp_path, monkeypatch, name):
+    graph_args, cls = _perturbed_class(name)
+    (tmp_path / "bad.json").write_text(json.dumps(class_to_json(cls)))
+    monkeypatch.chdir(tmp_path)  # the file name is part of the output
+    for fmt, expected in zip(("json", "csv", "human"), GKM_VERIFY_FAILURE_DIGESTS[name]):
+        argv = ["gkm-verify", *graph_args, "--classes-file", "bad.json", "--format", fmt]
+        code, out = run_cli(capsys, argv)
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, (name, fmt)
 
 
 @pytest.mark.parametrize("key", list(curves.CURVES))

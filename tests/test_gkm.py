@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from gkmslice.gkm import (
     LocalForm,
+    VerifyReport,
+    _UnionFind,
     build_flag_rank1_graph,
     build_gkm_graph,
     class_from_json,
@@ -307,3 +309,79 @@ def test_residue_along_matches_substitution(case):
     got = residue_along(form, linear_data(chi), [linear_data(f) for f in form.den])
     assert got == expected
     assert str(got) == str(expected)
+
+
+def _pairwise_report(graph, cls):
+    """verify_residue_conditions for a class that fits the graph, with
+    every residue a RationalSeries from residue_along and each component's
+    residues added pairwise."""
+    groups = {}
+    for edge, direction in zip(graph.edges, graph.directions):
+        groups.setdefault(direction, []).append(edge)
+    report = VerifyReport(ok=True, characters_checked=len(groups))
+    for direction in sorted(groups):
+        chi = groups[direction][0][2]
+        uf = _UnionFind()
+        for a, b, _ in groups[direction]:
+            uf.union(a, b)
+        sums = {}
+        for v, form in cls.items():
+            if direction not in {primitive_direction(f) for f in form.den}:
+                continue
+            res = residue_along(form, linear_data(chi), [linear_data(f) for f in form.den])
+            root = uf.find(v)
+            sums[root] = res + sums[root] if root in sums else res
+        for root in sorted(sums, key=repr):
+            report.components_checked += 1
+            if not sums[root].is_zero():
+                report.add_failure(
+                    "residue-sum-nonzero",
+                    character=str(chi),
+                    component=repr(root),
+                    residue=str(sums[root]),
+                )
+    return report
+
+
+_VERIFY_GRAPHS = {
+    "SL2 d=1": build_gkm_graph(root_datum("SL2"), 1, [(-4, 4)]),
+    "SL2 d=2": build_gkm_graph(root_datum("SL2"), 2, [(-4, 4)]),
+    "SL2 d=3": build_gkm_graph(root_datum("SL2"), 3, [(-4, 4)]),
+    "B2": _b2_graph(),
+    "GL2 d=1": build_gkm_graph(root_datum("GL2"), 1, [(-1, 1), (-1, 1)]),
+    "GL2 d=2": build_gkm_graph(root_datum("GL2"), 2, [(-1, 1), (-1, 1)]),
+}
+
+
+@st.composite
+def _verify_cases(draw):
+    """A known class on a small graph with up to three perturbations: 1
+    added to a numerator, or a scaled unit pole along an incident edge
+    weight that is not yet a pole there."""
+    name = draw(st.sampled_from(sorted(_VERIFY_GRAPHS)))
+    graph = _VERIFY_GRAPHS[name]
+    if name.startswith("SL2"):
+        d = int(name[-1])
+        cls = sl2_classes(d, draw(st.integers(-4, 4 - d)))
+    elif name == "B2":
+        cls = _b2_line_class(graph)
+    else:
+        cls = flag_constant_class(graph)
+    for _ in range(draw(st.integers(0, 3))):
+        v = draw(st.sampled_from(sorted(cls)))
+        if draw(st.booleans()):
+            cls = perturb_numerator(cls, v)
+            continue
+        held = {primitive_direction(f) for f in cls[v].den}
+        weights = [w for a, b, w in graph.edges if v in (a, b) and primitive_direction(w) not in held]
+        if weights:
+            w = draw(st.sampled_from(weights)) * draw(_entry.filter(bool))
+            cls = perturb_with_unit_pole(cls, v, w)
+    return graph, cls
+
+
+@settings(max_examples=120, deadline=None)
+@given(_verify_cases())
+def test_verify_matches_pairwise_residue_sums(case):
+    graph, cls = case
+    assert verify_residue_conditions(graph, cls) == _pairwise_report(graph, cls)
