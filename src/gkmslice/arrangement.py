@@ -18,11 +18,11 @@ Every slice spanned by generators goes through `_generated_slice`. It
 takes generator families and builds the intersection of their spans
 over one ambient basis: each generator times the monomials of the
 remaining degree, from one multiplier table that all families share,
-read off the ambient basis by shifting the generator's exponents. For
-windowed slices each family's span is cut back to the window before the
-spans are intersected. The pair ideal intersection is one family per
-pair, the root ideal intersection one family per positive root; every
-other slice is a single family.
+read off the ambient basis by shifting the generator's exponents. The
+rows go to one `linalg.meet` call, which cuts each family's span back
+to the window (for windowed slices) and intersects the parts. The pair
+ideal intersection is one family per pair, the root ideal intersection
+one family per positive root; every other slice is a single family.
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ from .linalg import (
     Row,
     SliceBasis,
     Subspace,
-    intersect_subspaces,
     kernel_of_rows,
+    meet,
     restrict_to_columns,
-    span,
 )
 from .rationals import ONE, ZERO
 from .rings import Exp, Grading, MultiPoly, Ring, grading_for, ring, slice_monomials
@@ -117,8 +116,8 @@ def _generated_slice(
     is read off the ambient index directly. Without a window every
     product must lie in the ambient basis (KeyError otherwise). With
     one, products leaving it are dropped and each family's span is cut
-    back to the vectors supported on window_keys in one elimination.
-    The family spans are intersected in order.
+    back to the vectors supported on window_keys. One `meet` call takes
+    the families one at a time and intersects their parts.
     """
     multipliers: dict[tuple[int, int], list[Exp]] = {}
     index = ambient.index
@@ -140,22 +139,16 @@ def _generated_slice(
                 elif gen_window is None:
                     raise KeyError(f"product of {gen} and {m} outside slice basis")
 
-    keep = None if window_keys is None else [index[k] for k in window_keys]
-    space = None
-    for family in families:
-        if keep is None:
-            part = span(rows(family), len(ambient))
-        else:
-            part = restrict_to_columns(rows(family), keep, len(ambient))
-        space = part if space is None else intersect_subspaces(space, part)
+    keep = range(len(ambient)) if window_keys is None else [index[k] for k in window_keys]
+    space = meet([rows(family) for family in families], keep, len(ambient))
     basis = ambient if window_keys is None else SliceBasis(window_keys)
     return SliceResult(basis, space, rg)
 
 
 def _shift_rows(src: SliceResult, dst: SliceResult, var: str) -> Iterable[Row]:
-    """The rows of src times one variable, as vectors over dst's basis."""
+    """The echelon rows of src times one variable, as vectors over dst's basis."""
     vi = src.ring.index(var)
-    for row in src.space.rows:
+    for row in src.space._ech.values():
         shifted = {}
         for col, c in row.items():
             exp = list(src.basis.keys[col])
@@ -354,6 +347,15 @@ def alternant_slice(n: int, d: int, deg: tuple[int, int]) -> SliceResult:
 # ---- sign-isotypic quotient table (Catalan numbers) ----
 
 
+def _slice_table(n: int, d: int, top: int, method: str) -> dict[tuple[int, int], SliceResult]:
+    """jd_slice at every bidegree (a, b) with a + b <= top + 1."""
+    return {
+        (a, b): jd_slice(n, d, (a, b), method=method)
+        for a in range(top + 2)
+        for b in range(top + 2 - a)
+    }
+
+
 @dataclass
 class CatalanReport:
     n: int
@@ -372,10 +374,7 @@ def catalan_quotient(n: int, method: str = "spanning") -> CatalanReport:
     and checked to vanish.
     """
     top = n * (n - 1) // 2
-    slices: dict[tuple[int, int], SliceResult] = {}
-    for a in range(top + 2):
-        for b in range(top + 2 - a):
-            slices[(a, b)] = jd_slice(n, 1, (a, b), method=method)
+    slices = _slice_table(n, 1, top, method)
     table: dict[tuple[int, int], int] = {}
     for (a, b), cur in slices.items():
         if cur.rank == 0:
@@ -430,10 +429,7 @@ def freeness_check(n: int, d: int, max_total: int, method: str = "spanning") -> 
     """
     if max_total < 0:
         raise ValueError(f"max_total must be >= 0, got {max_total}")
-    slices: dict[tuple[int, int], SliceResult] = {}
-    for a in range(max_total + 2):
-        for b in range(max_total + 2 - a):
-            slices[(a, b)] = jd_slice(n, d, (a, b), method=method)
+    slices = _slice_table(n, d, max_total, method)
     chain: dict[tuple[int, int], list[int]] = {}  # (a, b) -> [r_0, ..., r_n]
     for (a, b), dst in slices.items():
         image, ranks = Subspace(len(dst.basis)), [0]

@@ -187,11 +187,12 @@ def _residue_terms(form: LocalForm, chi: Linear, factors: Sequence[Linear]) -> R
 
     None when the form has no pole parallel to chi; errors on a higher
     order pole. With d chi's direction and p its pivot (first nonzero
-    index, d_p > 0), the numerator is substituted at chi = 0 and scaled
-    by chi_p / g_p for the on-wall factor g. An off-wall factor s e (e
-    its direction) restricts to (s / d_p) w with the integer vector
-    w = d_p e - e_p d; w made primitive is the factor's key, and the
-    scalars of all factors fold into one rational.
+    index, d_p > 0), the numerator is substituted at chi = 0 when it
+    holds the p-th variable, and scaled by chi_p / g_p for the on-wall
+    factor g. An off-wall factor s e (e its direction) restricts to
+    (s / d_p) w with the integer vector w = d_p e - e_p d; w made
+    primitive is the factor's key, and the scalars of all factors fold
+    into one rational.
     """
     rg = form.num.ring
     direction, chi_c = chi
@@ -202,11 +203,6 @@ def _residue_terms(form: LocalForm, chi: Linear, factors: Sequence[Linear]) -> R
         return None
     pivot = next(i for i, c in enumerate(chi_c) if c != 0)
     a = chi_c[pivot]
-    image = MultiPoly.zero(rg)
-    for i, c in enumerate(chi_c):
-        if i == pivot or c == 0:
-            continue
-        image = image - MultiPoly.gen(rg, rg.names[i]) * (c / a)
     top, bottom = rat_parts(a / on_wall[0][pivot])
     d_p = direction[pivot]
     keys: dict = {}
@@ -225,8 +221,14 @@ def _residue_terms(form: LocalForm, chi: Linear, factors: Sequence[Linear]) -> R
         s_num, s_den = rat_parts(f_c[j])
         top *= d_p * s_den * e[j]
         bottom *= s_num * g
-    num = form.num.substitute({rg.names[pivot]: image}, rg) * rat(top, bottom)
-    return num, keys
+    num = form.num
+    if any(exp[pivot] for exp in num.terms):
+        image = MultiPoly.zero(rg)
+        for i, c in enumerate(chi_c):
+            if i != pivot and c != 0:
+                image = image - MultiPoly.gen(rg, rg.names[i]) * (c / a)
+        num = num.substitute({rg.names[pivot]: image}, rg)
+    return num * rat(top, bottom), keys
 
 
 def _key_poly(rg: Ring, key: Key) -> MultiPoly:

@@ -13,22 +13,24 @@ entries, as in Bareiss 1968), through three routines:
   pivot of a new row. Rows are never back-eliminated.
 - `_canonical` makes one back-substitution pass from the highest pivot
   down and returns the reduced row echelon form scaled row by row, so
-  that equal subspaces have identical representations. A Subspace
-  builds it only when it is first asked for; the only rationals are
-  made at the boundary, where `rows` and `reduce` return the canonical
-  RREF over Q.
+  that equal subspaces have identical representations. Only the
+  readers of a Subspace's canonical form build it (`rows`, `contains`,
+  `reduce` and `==`), on first use; the only rationals are made at the
+  boundary, where `rows` and `reduce` return the canonical RREF over Q.
 - `_kernel` finds which part of a span vanishes on a block of leading
   columns. It holds all the vectors at once and eliminates the block
   column by column, the column with the fewest holders first, dropping
   each pivot vector once its column is cleared (Markowitz pivoting).
   What the other vectors leave past the block spans the answer.
 
-Three operations are that one kernel. `kernel_of_rows` tags the i-th
-row with an identity column past the block of the original columns, so
-the answer is the relations among the rows. `intersect_subspaces` is
-the kernel of the remainders of one space's rows modulo the other.
-`restrict_to_columns` orders the dropped columns first, so the answer
-is the part of the span supported on the kept columns.
+`meet` is the one caller of `_kernel`. It intersects, over families of
+vectors, the part of each family's span on the kept columns: one
+`_kernel` call per family with the dropped columns as the block, and
+for two or more families one more over their echelon rows, chained as
+in Zassenhaus' algorithm. `restrict_to_columns` is one family,
+`intersect_subspaces` two that keep every column, and `kernel_of_rows`
+one whose i-th row is tagged with an identity column past the original
+columns, keeping only the tags: the relations among the rows.
 """
 
 from __future__ import annotations
@@ -186,18 +188,16 @@ def _canonical(rows: dict[int, Row]) -> dict[int, Row]:
 class Subspace:
     """Row space over Q, kept as primitive integer rows in echelon form.
 
-    Rows are added by `_eliminate` and never back-eliminated. The
-    canonical form (the scaled RREF, and the RREF over Q that `rows`
-    returns) is built by `_canonical` on first use by `rows`, `reduce`,
-    `contains`, `==` or `intersect_subspaces`, and cached until the
-    next row is added. Rank-only callers never build it.
+    Rows are added by `_eliminate` and never back-eliminated. Only
+    `rows`, `reduce`, `contains` and `==` build the canonical form (the
+    scaled RREF, by `_canonical`), cached until the next row is added.
+    Callers that need only the rank or the echelon rows never build it.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self._ech: dict[int, Row] = {}  # pivot -> primitive integer row
         self._red: dict[int, Row] | None = {}  # scaled RREF, built on demand
-        self._q: list[Row] | None = None  # canonical Q rows, built on demand
 
     @property
     def rank(self) -> int:
@@ -215,11 +215,7 @@ class Subspace:
     @property
     def rows(self) -> list[Row]:
         """The canonical RREF over Q, sorted by pivot column."""
-        if self._q is None:
-            self._q = [
-                {j: rat(c, row[p]) for j, c in row.items()} for p, row in self._reduced().items()
-            ]
-        return self._q
+        return [{j: rat(c, row[p]) for j, c in row.items()} for p, row in self._reduced().items()]
 
     def copy(self) -> "Subspace":
         out = Subspace(self.ncols)
@@ -231,7 +227,7 @@ class Subspace:
         """Eliminate the fresh integer vector v; True when it became a row."""
         if _eliminate(v, self._ech) is None:
             return False
-        self._red = self._q = None
+        self._red = None
         return True
 
     def reduce(self, vec: Row) -> Row:
@@ -292,8 +288,8 @@ def _kernel(vectors: Iterable[Row], base: int, count: int) -> Subspace:
     the pivot is dropped: it is the only vector left on that column, so
     no combination that vanishes below base can use it. A holder with no
     column below base left joins the result, which stays in echelon form
-    until its canonical form is asked for. With the i-th of `count`
-    vectors tagged at base + i, the result is the relations among them.
+    until its canonical form is asked for. It changes the vectors it is
+    given.
     """
     out = Subspace(count)
     held: list[Row | None] = []
@@ -314,7 +310,7 @@ def _kernel(vectors: Iterable[Row], base: int, count: int) -> Subspace:
             held.append(v)
             low.append(n)
         elif v:
-            out._add({j - base: c for j, c in v.items()})
+            out._add({j - base: c for j, c in v.items()} if base else v)
     count_of = [0 if hs is None else len(hs) for hs in holders]  # < 0 once eliminated
     heap = [k * base + j for j, k in enumerate(count_of) if k]
     heapify(heap)
@@ -383,39 +379,56 @@ def _kernel(vectors: Iterable[Row], base: int, count: int) -> Subspace:
     return out
 
 
-def intersect_subspaces(a: Subspace, b: Subspace) -> Subspace:
-    """A cap B: sum v_j B_j lies in A iff sum v_j rem_j = 0.
+def meet(families: Iterable[Iterable[Row]], keep: Sequence[int], ncols: int) -> Subspace:
+    """The intersection over one or more families of vectors in Q^ncols
+    of the part of each family's span supported on `keep`, reindexed.
 
-    rem_j is the remainder of the j-th canonical row of B modulo the
-    canonical rows of A, one pass each. The larger space plays A. B is
-    reduced and the combination sum v_j B_j has entry v_j * B_j[p_j] at
-    the pivot p_j of B_j, so the reduced relations map to the scaled
-    RREF of the result.
+    Stage 1 is one `_kernel` call per family, with the dropped columns
+    ordered first as the block; each input row is copied to integers
+    in that order, and never changed. Stage 2, for k >= 2
+    families, is one more `_kernel` call over the echelon rows of the
+    parts P_1..P_k in a chained Zassenhaus layout: k - 1 difference
+    blocks of len(keep) columns, then the result block. A row of P_i
+    goes into block i - 1 negated and, when i < k, into block i; block 0
+    is the result block. What vanishes on the difference blocks holds
+    one element in every part and leaves it in the result block.
     """
+    keep_set = set(keep)
+    drop = [j for j in range(ncols) if j not in keep_set]
+    base, width = len(drop), len(keep)
+    order = [0] * ncols
+    for i, j in enumerate(drop + list(keep)):
+        order[j] = i
+
+    def integer(family):
+        for vec in family:
+            if not all(type(c) is int for c in vec.values()):
+                vec = _integer(vec)[0]
+            yield {order[j]: c for j, c in vec.items()}
+
+    parts = [_kernel(integer(family), base, width) for family in families]
+    if len(parts) == 1:
+        return parts[0]
+    result = (len(parts) - 1) * width
+
+    def chained():
+        for i, part in enumerate(parts):
+            lo, hi = (i - 1) % len(parts) * width, i * width
+            for row in part._ech.values():
+                v = {lo + j: -c for j, c in row.items()}
+                if hi < result:
+                    for j, c in row.items():
+                        v[hi + j] = c
+                yield v
+
+    return _kernel(chained(), result, width)
+
+
+def intersect_subspaces(a: Subspace, b: Subspace) -> Subspace:
+    """A cap B, from the echelon rows of both."""
     if a.ncols != b.ncols:
         raise ValueError("column count mismatch")
-    if a.rank < b.rank:
-        a, b = b, a
-    ncols = a.ncols
-    ared, bred = a._reduced(), b._reduced()
-    bpivots, brows = list(bred), list(bred.values())
-
-    def tagged():
-        for i, row in enumerate(brows):
-            rem, scale = _remainder(row, ared)
-            rem[ncols + i] = scale
-            yield rem
-
-    rel = _kernel(tagged(), ncols, len(brows))
-    out = Subspace(ncols)
-    for q, relrow in rel._reduced().items():
-        elem: Row = {}
-        for j, c in relrow.items():
-            for k, x in brows[j].items():
-                elem[k] = elem.get(k, 0) + c * x
-        out._ech[bpivots[q]] = _primitive({k: x for k, x in elem.items() if x})
-    out._red = dict(out._ech)
-    return out
+    return meet([a._ech.values(), b._ech.values()], range(a.ncols), a.ncols)
 
 
 def kernel_of_rows(rows: Sequence[Row], ncols: int) -> Subspace:
@@ -427,28 +440,11 @@ def kernel_of_rows(rows: Sequence[Row], ncols: int) -> Subspace:
             v[ncols + i] = den
             yield v
 
-    return _kernel(tagged(), ncols, len(rows))
+    total = ncols + len(rows)
+    return meet([tagged()], range(ncols, total), total)
 
 
 def restrict_to_columns(vectors: Iterable[Row], keep: Sequence[int], ncols: int) -> Subspace:
     """Elements of the span of `vectors` (in Q^ncols) supported on `keep`,
-    reindexed to keep.
-
-    One `_kernel` call with the dropped columns ordered first as its
-    block: the vectors that survive the Markowitz elimination of the
-    dropped columns lie on the kept columns and span the answer.
-    """
-    keep_set = set(keep)
-    drop = [j for j in range(ncols) if j not in keep_set]
-    order = {j: i for i, j in enumerate(drop)}
-    base = len(drop)
-    for i, j in enumerate(keep):
-        order[j] = base + i
-
-    def permuted():
-        for vec in vectors:
-            if not all(type(c) is int for c in vec.values()):
-                vec = _integer(vec)[0]
-            yield {order[j]: c for j, c in vec.items()}
-
-    return _kernel(permuted(), base, len(keep))
+    reindexed to keep."""
+    return meet([vectors], keep, ncols)

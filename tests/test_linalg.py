@@ -1,6 +1,7 @@
 """Sparse row reduction, intersections, kernels, column restriction."""
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from gkmslice.linalg import (
     Subspace,
     intersect_subspaces,
     kernel_of_rows,
+    meet,
     restrict_to_columns,
     span,
     sum_subspaces,
@@ -244,6 +246,43 @@ def test_restriction_matches_fraction_reference(family, data):
     rows, _ = ref_rref([{i: v[j] for i, j in enumerate(keep) if j in v} for v in inside], len(keep))
     assert as_fractions(restricted.rows) == ref_sparse(rows)
     assert is_backend_rational(restricted.rows)
+
+
+def scaled_to_integers(vecs):
+    """Each vector times the lcm of its denominators, with int entries."""
+    out = []
+    for v in vecs:
+        parts = {j: rat_parts(c) for j, c in v.items()}
+        den = lcm(*(d for _, d in parts.values()))
+        out.append({j: n * (den // d) for j, (n, d) in parts.items()})
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_families(count=3), st.data())
+def test_meet_matches_fraction_reference(family, data):
+    ncols, families = family
+    families = families[: data.draw(st.integers(1, 3))]
+    # some families empty, some as rows of plain ints, as _generated_slice passes them
+    families = [
+        [] if data.draw(st.integers(0, 4)) == 0
+        else scaled_to_integers(with_dependent_and_zero(vecs)) if data.draw(st.booleans())
+        else with_dependent_and_zero(vecs)
+        for vecs in families
+    ]
+    cut = st.tuples(st.permutations(range(ncols)), st.integers(0, ncols)).map(lambda t: t[0][: t[1]])
+    keep = data.draw(st.one_of(st.just(list(range(ncols))), cut))
+    before = [[dict(v) for v in vecs] for vecs in families]
+    got = meet(families, keep, ncols)
+    assert families == before
+    coords = [{j: Fraction(1)} for j in keep]
+    inside = ref_nullspace([], ncols)  # all of Q^ncols
+    for vecs in families:
+        inside = ref_intersection(inside, ref_intersection(vecs, coords, ncols), ncols)
+    rows, _ = ref_rref([{i: v[j] for i, j in enumerate(keep) if j in v} for v in inside], len(keep))
+    assert got.ncols == len(keep)
+    assert as_fractions(got.rows) == ref_sparse(rows)
+    assert is_backend_rational(got.rows)
 
 
 @settings(max_examples=40, deadline=None)
