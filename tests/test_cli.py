@@ -369,6 +369,116 @@ def test_gkm_verify_failure_stdout_is_pinned(capsys, tmp_path, monkeypatch, name
         assert hashlib.sha256(out.encode()).hexdigest() == expected, (name, fmt)
 
 
+# sha256 of stdout in each format, and the exit code, for the subcommands
+# and formats that the digests above leave out.
+REPORT_DIGESTS = {
+    "jd-series --n 3 --d 2 --maxdeg 4": (
+        0,
+        {
+            "json": "a8e320f171948a3ce17050f6a6aeef3a912e4079112283e3f5300511b76c59ff",
+            "csv": "b2ebe7617ca00272966a6bcf4a46a6f71b6de8bdb97ff4610d32827fb89d677f",
+            "human": "2a307eef1edd08f1c560d566d6dc70ba286b4ae2c0fe63a2a7980c0595f12d94",
+        },
+    ),
+    "catalan --n 3": (
+        0,
+        {
+            "json": "648e8a760674d6b5ded39ceb528628eda78237179bde2b2ce41a73d14f94d910",
+            "csv": "c6f6f5d8529d8e3fb0b2114b7920bff86f7965323c8c837672f09a87ad72edaa",
+            "human": "45d9df71119a4ac3271ff2aac15445753bb55c6e993b25320b5f7eb2c2daf035",
+        },
+    ),
+    "catalan --n 3 --method vanishing": (
+        0,
+        {
+            "json": "132391a7cd4adb8aa76f0dc747702e08c8cc61fd317a002fc1e0b739b5881289",
+            "csv": "c6f6f5d8529d8e3fb0b2114b7920bff86f7965323c8c837672f09a87ad72edaa",
+            "human": "45d9df71119a4ac3271ff2aac15445753bb55c6e993b25320b5f7eb2c2daf035",
+        },
+    ),
+    "freeness --n 3 --maxdeg 4": (
+        0,
+        {
+            "json": "a4437092143d2dcedb4494c87f7a8631dfc46c8099a0dffcb5a401e4f8d0a015",
+            "csv": "cf31d8f2812a9e385982bb48702078e0619ba46b0d91aca5b6e16fb9e6808f19",
+            "human": "62cdc97465872806f223f38950ba494066778c1d24908ddeb393df53dc202914",
+        },
+    ),
+    "gkm-graph --group SL2 --d 2": (
+        0,
+        {
+            "json": "896033db6423b88aa9b6c0d1d8a5808df71e9a68b241d6c8734802f8361995d1",
+            "csv": "05857f8b2fb5e6a3b12ff2bf254229156f83599366793932cac6954ef914a589",
+            "human": "d3e709c0b0c0d6eb576a584e097e2b0c0181aff52782b51f1875a1c3cca8df70",
+            "dot": "7362ee4c128f118b3be455de2f50b27046e5bea3e6a2a33c0b44853b3e80b734",
+        },
+    ),
+    "gkm-graph --group FLAG": (
+        0,
+        {
+            "json": "70e4a597e26d7f412780028df5f1bf48d5585dfbad297ac2b1d44cd4cf7906f4",
+            "csv": "31a96e3329fbef33fc81034525e68ca2757af629eb8c055efb220f228acd45ef",
+            "human": "91e68437d812182f4eaf2cacdd8abec54b98db7ab78a61b277f3f88dae0b84fc",
+            "dot": "53934844b7efe0b992934d010a3249de257fbb0beedc3679ab327a9854292c93",
+        },
+    ),
+    "gkm-verify --group SL2 --d 2 --class b0": (
+        0,
+        {
+            "json": "ac08eaedb11c1682d07c80d7b4d8c69ab3c7b9cbc07fc0a11c2a28c193f323be",
+            "csv": "24fad301b0b840e66002a38032a8c94c5f2827f1373435b8c81b8d377cd1ff2b",
+            "human": "0e15f4c1a0030438a7adfc00d24dcc98d8ef3a46cbf9f4ba0aa50545cec42508",
+        },
+    ),
+    "ordinary-quotient --group GL2 --window=0:1": (
+        0,
+        {
+            "json": "510f6052d6135d6e2d36f07489b4542855279201dc35f4aa067d5a6f37ec20be",
+            "csv": "97126813667fbe7cb6d527b212a1650fc8fbdf9dc7f814be10533a3bbc102fa0",
+            "human": "a18cdda4a32db7e7a7e2612f73a1fbc8876c6d7b9e2eb99067875605f107e79d",
+        },
+    ),
+    "ordinary-quotient --group B2 --window=0:1": (
+        0,
+        {
+            "json": "4a7271f5c7b22b475b2dcc9702f667f893d068770bf71189c97e08ac3ae474a1",
+            "csv": "903b342e60abcf41e8283d5198a9337c7fc336538449b5c5cd3d6ee3d6d05e95",
+            "human": "842a4af13b4665013805fb3b3458245540170bb879dd42be328f1f3828e63fe2",
+        },
+    ),
+    "flag-rank1 --window 0:3": (
+        0,
+        {
+            "json": "811792b8c62a03e3e67643e2951e1ba958d5171f6b7c626e19bb62be6d7fca14",
+            "csv": "1533c22fa458522bd8961c3d75a8309b0ad9de4cfbc0e2014b5ad8f88650e0ad",
+            "human": "ba7c539204a88720dd787356baca8ce95b9a73f82559cec7a9b3326ddeed136e",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(REPORT_DIGESTS))
+def test_report_stdout_and_exit_code_are_pinned(capsys, command):
+    expected_code, digests = REPORT_DIGESTS[command]
+    for fmt, expected in digests.items():
+        code, out = run_cli(capsys, command.split() + ["--format", fmt])
+        assert code == expected_code, (command, fmt)
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, (command, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "human", "dot"])
+def test_output_file_holds_the_stdout_bytes(capsys, tmp_path, fmt):
+    commands = ["gkm-graph --group FLAG"]
+    if fmt != "dot":
+        commands += ["catalan --n 2", "gkm-verify --group SL2 --class b0", "flag-rank1"]
+    for command in commands:
+        argv = command.split() + ["--format", fmt]
+        code, out = run_cli(capsys, argv)
+        path = tmp_path / f"report.{fmt}"
+        assert run_cli(capsys, argv + ["--output", str(path)]) == (code, "")
+        assert path.read_bytes() == out.encode(), (command, fmt)
+
+
 @pytest.mark.parametrize("key", list(curves.CURVES))
 def test_curve_spellings_resolve_to_one_catalogue_entry(capsys, key):
     n, dn = key
