@@ -14,8 +14,8 @@ margin-enlarged box and cutting back, in the same elimination pass, to
 vectors supported inside the window; ranks are monotone in the margin
 and results carry a stabilization status.
 
-Every slice spanned by generators goes through `_generated_slice`. It
-takes generator families and builds the intersection of their spans
+Every slice spanned by polynomial generators goes through
+`_generated_slice`. It takes generator families and builds the intersection of their spans
 over one ambient basis: each generator times the monomials of the
 remaining degree, from one multiplier table that all families share,
 read off the ambient basis by shifting the generator's exponents. The
@@ -23,6 +23,10 @@ rows go to one `linalg.meet` call, which cuts each family's span back
 to the window (for windowed slices) and intersects the parts. The pair
 ideal intersection is one family per pair, the root ideal intersection
 one family per positive root; every other slice is a single family.
+The rank-one flag module is the one exception: its generators are not
+polynomials, so `flag_rank1_module_slice` writes their rows on the
+(level, coset) keys by hand and cuts them to the window with
+`linalg.restrict_to_columns`.
 """
 
 from __future__ import annotations
@@ -497,13 +501,17 @@ def coroot_monomial(rd: RootDatum, rg: Ring, root_index: int) -> MultiPoly:
     return MultiPoly.monomial(rg, tuple(exp))
 
 
-def _stabilize(compute: Callable[[int], SliceResult], margin0: int, tries: int = 4) -> SliceResult:
+# Margin steps a windowed slice takes before it is called inconclusive.
+STABILIZE_TRIES = 4
+
+
+def _stabilize(compute: Callable[[int], SliceResult], margin0: int) -> SliceResult:
     """Increase the margin until one further step does not change the rank."""
     if margin0 < 0:
         raise ValueError(f"margin must be >= 0, got {margin0}")
     prev = compute(margin0)
     m = margin0
-    for _ in range(tries):
+    for _ in range(STABILIZE_TRIES):
         nxt = compute(m + 1)
         if nxt.rank == prev.rank:
             prev.status = "stabilized"

@@ -1,14 +1,18 @@
 """Command-line entry point.
 
-One executable, ten subcommands, machine-readable output. Exit codes:
-0 for PASS/complete, 1 for a verified identity mismatch, 2 for an
-inconclusive windowed computation (margin never stabilized), 64 for
-malformed usage or an argument outside the library's domain (a
-ValueError), 70 for an internal error (any other exception; the
-traceback goes to stderr). JSON output is canonical: sorted keys,
-two-space indent, rationals rendered "num/den". `--version` prints
-the package version and the rational backend in use (gmpy2 or
-Fraction).
+One executable, ten subcommands, machine-readable output. Each
+subcommand computes its result and describes it once, as one report: a
+json payload, a csv table and lines of human text (plus a DOT graph for
+gkm-graph). `report` renders the format asked for, writes it to stdout
+or to --output, and is the one place that chooses the exit code from
+the result: 0 for PASS/complete, 1 for a verified identity mismatch, 2
+for an inconclusive windowed computation (margin never stabilized).
+`main` adds 64 for malformed usage or an argument outside the library's
+domain (a ValueError) and 70 for an internal error (any other
+exception; the traceback goes to stderr). JSON output is canonical:
+sorted keys, two-space indent, rationals rendered "num/den".
+`--version` prints the package version and the rational backend in use
+(gmpy2 or Fraction).
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import traceback
 
@@ -98,7 +103,24 @@ def render_csv(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def emit(args, text: str) -> None:
+def report(args, ok, payload: dict, header: list[str], rows: list[list],
+           human: list[str], dot: str | None = None) -> int:
+    """Write one report in the format args ask for; return its exit code.
+
+    payload is the json object, header and rows the csv table, human the
+    lines of text and dot the graph (gkm-graph only). The text goes to
+    stdout, or to the --output path. ok is True for a PASS or complete
+    result, False for a mismatch and None for an inconclusive windowed
+    computation.
+    """
+    if args.format == "json":
+        text = render_json(payload)
+    elif args.format == "csv":
+        text = render_csv(header, rows)
+    elif args.format == "dot":
+        text = dot
+    else:
+        text = "\n".join(human) + "\n"
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -107,15 +129,14 @@ def emit(args, text: str) -> None:
             raise ValueError(f"cannot write {args.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
+    if ok is None:
+        return EXIT_INCONCLUSIVE
+    return EXIT_PASS if ok else EXIT_MISMATCH
 
 
 def add_common(p: Parser, formats=("json", "csv", "human")) -> None:
     p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--output", default=None, help="write the report to this path")
-
-
-def deg_key(deg: tuple[int, int]) -> str:
-    return f"{deg[0]},{deg[1]}"
 
 
 # ---- subcommand handlers ----
@@ -126,87 +147,57 @@ def cmd_jd_series(args) -> int:
         raise ValueError("jd-series supports --group GL (pointwise diagonals)")
     if args.maxdeg < 0:
         raise ValueError(f"--maxdeg must be >= 0, got {args.maxdeg}")
-    degs = [
-        (a, b)
+    rows = [
+        [a, b, arrangement.jd_slice(args.n, args.d, (a, b), method=args.method).rank]
         for total in range(args.maxdeg + 1)
         for a in range(total + 1)
         for b in [total - a]
     ]
-    table = {
-        deg: arrangement.jd_slice(args.n, args.d, deg, method=args.method).rank
-        for deg in degs
+    payload = {
+        "group": f"GL{args.n}",
+        "n": args.n,
+        "d": args.d,
+        "maxdeg": args.maxdeg,
+        "method": args.method,
+        "table": {f"{a},{b}": rank for a, b, rank in rows},
     }
-    if args.format == "json":
-        payload = {
-            "group": f"GL{args.n}",
-            "n": args.n,
-            "d": args.d,
-            "maxdeg": args.maxdeg,
-            "method": args.method,
-            "table": {deg_key(deg): table[deg] for deg in degs},
-        }
-        emit(args, render_json(payload))
-    elif args.format == "csv":
-        rows = [[a, b, table[(a, b)]] for a, b in degs]
-        emit(args, render_csv(["xdeg", "ydeg", "rank"], rows))
-    else:
-        lines = [f"GL{args.n} d={args.d} slice ranks (xdeg, ydeg) -> rank"]
-        lines += [f"  ({a}, {b}) -> {table[(a, b)]}" for a, b in degs]
-        emit(args, "\n".join(lines) + "\n")
-    return EXIT_PASS
+    human = [f"GL{args.n} d={args.d} slice ranks (xdeg, ydeg) -> rank"]
+    human += [f"  ({a}, {b}) -> {rank}" for a, b, rank in rows]
+    return report(args, True, payload, ["xdeg", "ydeg", "rank"], rows, human)
 
 
 def cmd_catalan(args) -> int:
-    report = arrangement.catalan_quotient(args.n, method=args.method)
-    degs = sorted(report.table)
-    if args.format == "json":
-        payload = {
-            "n": report.n,
-            "method": report.method,
-            "total": report.total,
-            "top_degree": report.top_degree,
-            "boundary_zero": report.boundary_zero,
-            "table": {deg_key(deg): report.table[deg] for deg in degs},
-        }
-        emit(args, render_json(payload))
-    elif args.format == "csv":
-        rows = [[a, b, report.table[(a, b)]] for a, b in degs]
-        emit(args, render_csv(["xdeg", "ydeg", "dim"], rows))
-    else:
-        lines = [f"n={report.n} total={report.total}"]
-        lines += [f"  ({a}, {b}) -> {report.table[(a, b)]}" for a, b in degs]
-        emit(args, "\n".join(lines) + "\n")
-    return EXIT_PASS if report.boundary_zero else EXIT_MISMATCH
+    result = arrangement.catalan_quotient(args.n, method=args.method)
+    rows = [[a, b, result.table[(a, b)]] for a, b in sorted(result.table)]
+    payload = {
+        "n": result.n,
+        "method": result.method,
+        "total": result.total,
+        "top_degree": result.top_degree,
+        "boundary_zero": result.boundary_zero,
+        "table": {f"{a},{b}": dim for a, b, dim in rows},
+    }
+    human = [f"n={result.n} total={result.total}"]
+    human += [f"  ({a}, {b}) -> {dim}" for a, b, dim in rows]
+    return report(args, result.boundary_zero, payload, ["xdeg", "ydeg", "dim"], rows, human)
 
 
 def cmd_freeness(args) -> int:
-    report = arrangement.freeness_check(args.n, args.d, args.maxdeg, method=args.method)
-    failed_stages = sorted({k for k, _ in report.failures})
-    stages = [
-        {"stage": k, "status": "FAIL" if k in failed_stages else "PASS"}
-        for k in range(1, args.n + 1)
-    ]
-    if args.format == "json":
-        payload = {
-            "n": report.n,
-            "d": report.d,
-            "maxdeg": report.max_total,
-            "ok": report.ok,
-            "checks": report.stages_checked,
-            "stages": stages,
-            "failures": [
-                {"stage": k, "bidegree": list(deg)} for k, deg in report.failures
-            ],
-        }
-        emit(args, render_json(payload))
-    elif args.format == "csv":
-        rows = [[s["stage"], s["status"]] for s in stages]
-        emit(args, render_csv(["stage", "status"], rows))
-    else:
-        lines = [f"stage {s['stage']}: {s['status']}" for s in stages]
-        lines.append("PASS" if report.ok else "FAIL")
-        emit(args, "\n".join(lines) + "\n")
-    return EXIT_PASS if report.ok else EXIT_MISMATCH
+    result = arrangement.freeness_check(args.n, args.d, args.maxdeg, method=args.method)
+    failed = {k for k, _ in result.failures}
+    rows = [[k, "FAIL" if k in failed else "PASS"] for k in range(1, args.n + 1)]
+    payload = {
+        "n": result.n,
+        "d": result.d,
+        "maxdeg": result.max_total,
+        "ok": result.ok,
+        "checks": result.stages_checked,
+        "stages": [{"stage": k, "status": status} for k, status in rows],
+        "failures": [{"stage": k, "bidegree": list(deg)} for k, deg in result.failures],
+    }
+    human = [f"stage {k}: {status}" for k, status in rows]
+    human.append("PASS" if result.ok else "FAIL")
+    return report(args, result.ok, payload, ["stage", "status"], rows, human)
 
 
 def build_graph(args) -> gkm.GkmGraph:
@@ -221,23 +212,13 @@ def build_graph(args) -> gkm.GkmGraph:
 
 def cmd_gkm_graph(args) -> int:
     graph = build_graph(args)
-    if args.format == "dot":
-        emit(args, gkm.graph_to_dot(graph))
-    elif args.format == "csv":
-        rows = [
-            [gkm.vertex_name(a), gkm.vertex_name(b), str(w)] for a, b, w in graph.edges
-        ]
-        emit(args, render_csv(["a", "b", "weight"], rows))
-    elif args.format == "human":
-        lines = [f"{graph.label}: {len(graph.vertices)} vertices, {len(graph.edges)} edges"]
-        lines += [
-            f"  {gkm.vertex_name(a)} -- {gkm.vertex_name(b)}  [{w}]"
-            for a, b, w in graph.edges
-        ]
-        emit(args, "\n".join(lines) + "\n")
-    else:
-        emit(args, render_json(gkm.graph_to_json(graph)))
-    return EXIT_PASS
+    rows = [[gkm.vertex_name(a), gkm.vertex_name(b), w] for a, b, w in graph.edges]
+    human = [f"{graph.label}: {len(graph.vertices)} vertices, {len(graph.edges)} edges"]
+    human += [f"  {a} -- {b}  [{w}]" for a, b, w in rows]
+    return report(
+        args, True, gkm.graph_to_json(graph), ["a", "b", "weight"], rows, human,
+        dot=gkm.graph_to_dot(graph),
+    )
 
 
 def named_class(graph: gkm.GkmGraph, name: str, d: int) -> dict:
@@ -268,55 +249,44 @@ def cmd_gkm_verify(args) -> int:
         except OSError as exc:
             raise ValueError(f"cannot read {args.classes_file}: {exc.strerror}") from None
         cls = gkm.class_from_json(data, graph.ring)
-        name = args.classes_file
+        # the base name, so that every spelling of the path prints the same
+        name = os.path.basename(args.classes_file)
     elif args.cls:
         cls = named_class(graph, args.cls, args.d)
         name = args.cls
     else:
         raise ValueError("gkm-verify needs --class or --classes-file")
-    report = gkm.verify_residue_conditions(graph, cls)
-    misfits = [f["kind"] for f in report.failures if f["kind"] in gkm.STRUCTURAL_FAILURES]
+    result = gkm.verify_residue_conditions(graph, cls)
+    misfits = [f["kind"] for f in result.failures if f["kind"] in gkm.STRUCTURAL_FAILURES]
     if misfits and not args.classes_file:
         # a named class that does not fit the graph is a usage error
         raise ValueError(f"class {name!r} does not fit {graph.label} ({misfits[0]})")
-    status = "PASS" if report.ok else "FAIL"
-    if args.format == "json":
-        payload = {
-            "graph": graph.label,
-            "class": name,
-            "status": status,
-            "characters_checked": report.characters_checked,
-            "components_checked": report.components_checked,
-            "failures": report.failures,
-        }
-        emit(args, render_json(payload))
-    elif args.format == "csv":
-        rows = [[f["kind"], jsonable(f)] for f in report.failures]
-        emit(args, render_csv(["kind", "detail"], rows))
-    else:
-        lines = [f"{status}: class {name} on {graph.label}"]
-        lines += [f"  {jsonable(f)}" for f in report.failures]
-        emit(args, "\n".join(lines) + "\n")
-    return EXIT_PASS if report.ok else EXIT_MISMATCH
+    status = "PASS" if result.ok else "FAIL"
+    payload = {
+        "graph": graph.label,
+        "class": name,
+        "status": status,
+        "characters_checked": result.characters_checked,
+        "components_checked": result.components_checked,
+        "failures": result.failures,
+    }
+    rows = [[f["kind"], jsonable(f)] for f in result.failures]
+    human = [f"{status}: class {name} on {graph.label}"]
+    human += [f"  {detail}" for _, detail in rows]
+    return report(args, result.ok, payload, ["kind", "detail"], rows, human)
 
 
 def cmd_msv(args) -> int:
-    key = args.curve.strip().lower().replace(" ", "")
-    found = [
-        (n, curve) for (n, dn), curve in curves.CURVES.items() if key in (f"{n},{dn}", curve.name)
-    ]
-    if not found:
-        keys = " / ".join(f"{n},{dn}" for n, dn in curves.CURVES)
-        raise ValueError(f"unknown curve {args.curve!r} (use {keys} or a name)")
-    branches, curve = found[0]
-    name = curve.name
+    n, dn = curves.curve_key(args.curve)
+    curve = curves.CURVES[(n, dn)]
     series = curve.series()
     match = series == curve.closed_form()
     if args.punctual:
-        series = curves.punctual_series(series, branches)
+        series = curves.punctual_series(series, n)
+    status = "PASS" if match else "FAIL"
     payload = {
-        "curve": name,
-        "status": "PASS" if match else "FAIL",
+        "curve": curve.name,
+        "status": status,
         "closed_form_match": match,
         "punctual": bool(args.punctual),
         "punctual_factor": curves.PUNCTUAL_FACTOR,
@@ -324,64 +294,48 @@ def cmd_msv(args) -> int:
         "series": series_to_json(series),
         "first_mismatch": None,
     }
-    if args.format == "json":
-        emit(args, render_json(payload))
-    elif args.format == "csv":
-        emit(args, render_csv(["curve", "status"], [[name, payload["status"]]]))
-    else:
-        emit(args, f"{payload['status']}: {name} series assembled\n")
-    return EXIT_PASS if match else EXIT_MISMATCH
+    human = [f"{status}: {curve.name} series assembled"]
+    return report(args, match, payload, ["curve", "status"], [[curve.name, status]], human)
 
 
 def cmd_conjecture_check(args) -> int:
-    report = curves.conjecture_vs_msv(args.n, args.d, order=args.order)
+    result = curves.conjecture_vs_msv(args.n, args.d, order=args.order)
     first = None
-    if report.mismatches:
-        deg, coeff, dim = report.mismatches[0]
+    if result.mismatches:
+        deg, coeff, dim = result.mismatches[0]
         first = {"bidegree": list(deg), "series_coefficient": coeff, "quotient_dim": dim}
-    if args.format == "json":
-        payload = {
-            "n": report.n,
-            "d": report.d,
-            "order": report.order,
-            "reference": report.reference_name,
-            "status": "PASS" if report.ok else "MISMATCH",
-            "first_mismatch": first,
-            "table": {deg_key(deg): v for deg, v in sorted(report.table.items())},
-        }
-        emit(args, render_json(payload))
-    elif args.format == "csv":
-        rows = [[a, b, v] for (a, b), v in sorted(report.table.items())]
-        emit(args, render_csv(["qdeg", "tdeg", "dim"], rows))
-    else:
-        status = "PASS" if report.ok else f"MISMATCH at {first['bidegree']}"
-        emit(args, f"{status}: ({args.n},{args.d}) vs {report.reference_name}"
-                   f" through q-order {args.order}\n")
-    return EXIT_PASS if report.ok else EXIT_MISMATCH
+    rows = [[a, b, dim] for (a, b), dim in sorted(result.table.items())]
+    payload = {
+        "n": result.n,
+        "d": result.d,
+        "order": result.order,
+        "reference": result.reference_name,
+        "status": "PASS" if result.ok else "MISMATCH",
+        "first_mismatch": first,
+        "table": {f"{a},{b}": dim for a, b, dim in rows},
+    }
+    status = "PASS" if result.ok else f"MISMATCH at {first['bidegree']}"
+    human = [f"{status}: ({args.n},{args.d}) vs {result.reference_name}"
+             f" through q-order {args.order}"]
+    return report(args, result.ok, payload, ["qdeg", "tdeg", "dim"], rows, human)
 
 
 def cmd_compare_knot(args) -> int:
-    report = curves.knot_compare(args.link)
-    name = report.link
-    normalization = f"T^{report.shift}" if report.shift is not None else None
+    result = curves.knot_compare(args.link)
+    normalization = f"T^{result.shift}" if result.shift is not None else None
+    status = "PASS" if result.ok else "FAIL"
     payload = {
-        "link": name,
-        "status": "PASS" if report.ok else "FAIL",
-        "equal": report.ok,
+        "link": result.link,
+        "status": status,
+        "equal": result.ok,
         "normalization": normalization,
         "factor_used": curves.PUNCTUAL_FACTOR,
         "alternate_factor": curves.ALTERNATE_FACTOR,
-        "first_mismatch": None if report.ok else "series differ beyond a T power",
+        "first_mismatch": None if result.ok else "series differ beyond a T power",
     }
-    if args.format == "json":
-        emit(args, render_json(payload))
-    elif args.format == "csv":
-        emit(args, render_csv(
-            ["link", "equal", "normalization"], [[name, report.ok, normalization]]
-        ))
-    else:
-        emit(args, f"{payload['status']}: {name} normalization {normalization}\n")
-    return EXIT_PASS if report.ok else EXIT_MISMATCH
+    rows = [[result.link, result.ok, normalization]]
+    human = [f"{status}: {result.link} normalization {normalization}"]
+    return report(args, result.ok, payload, ["link", "equal", "normalization"], rows, human)
 
 
 def cmd_ordinary_quotient(args) -> int:
@@ -390,30 +344,24 @@ def cmd_ordinary_quotient(args) -> int:
     result = arrangement.ordinary_homology_quotient_slice(
         rd, args.d, args.ydeg, window, margin=args.margin
     )
-    generators = [str(p) for p in result.submodule.row_polys()]
-    if args.format == "json":
-        payload = {
-            "group": rd.label,
-            "d": args.d,
-            "ydeg": args.ydeg,
-            "window": [list(r) for r in window],
-            "ambient_dim": result.ambient_dim,
-            "submodule_rank": result.submodule_rank,
-            "quotient_dim": result.quotient_dim,
-            "status": result.status,
-            "margin": result.margin,
-            "submodule_rows": generators,
-        }
-        emit(args, render_json(payload))
-    elif args.format == "csv":
-        emit(args, render_csv(
-            ["ambient_dim", "submodule_rank", "quotient_dim", "status"],
-            [[result.ambient_dim, result.submodule_rank, result.quotient_dim, result.status]],
-        ))
-    else:
-        emit(args, f"{result.status}: quotient dim {result.quotient_dim} "
-                   f"({result.ambient_dim} ambient, rank {result.submodule_rank})\n")
-    return EXIT_PASS if result.status in ("exact", "stabilized") else EXIT_INCONCLUSIVE
+    payload = {
+        "group": rd.label,
+        "d": args.d,
+        "ydeg": args.ydeg,
+        "window": [list(r) for r in window],
+        "ambient_dim": result.ambient_dim,
+        "submodule_rank": result.submodule_rank,
+        "quotient_dim": result.quotient_dim,
+        "status": result.status,
+        "margin": result.margin,
+        "submodule_rows": [str(p) for p in result.submodule.row_polys()],
+    }
+    header = ["ambient_dim", "submodule_rank", "quotient_dim", "status"]
+    rows = [[result.ambient_dim, result.submodule_rank, result.quotient_dim, result.status]]
+    human = [f"{result.status}: quotient dim {result.quotient_dim} "
+             f"({result.ambient_dim} ambient, rank {result.submodule_rank})"]
+    ok = True if result.status in ("exact", "stabilized") else None
+    return report(args, ok, payload, header, rows, human)
 
 
 def cmd_flag_rank1(args) -> int:
@@ -422,7 +370,6 @@ def cmd_flag_rank1(args) -> int:
     lo, hi = window
     pair_ok = all(result.contains(arrangement.flag_pair_element(k)) for k in range(lo, hi + 1))
     step_ok = all(result.contains(arrangement.flag_step_element(k)) for k in range(lo + 1, hi + 1))
-    identity_ok = pair_ok and step_ok and result.quotient_dim == 1
     payload = {
         "window": list(window),
         "ambient_dim": result.ambient_dim,
@@ -433,19 +380,15 @@ def cmd_flag_rank1(args) -> int:
         "pair_classes_in_module": pair_ok,
         "step_classes_in_module": step_ok,
     }
-    if args.format == "json":
-        emit(args, render_json(payload))
-    elif args.format == "csv":
-        emit(args, render_csv(
-            ["quotient_dim", "status", "pair_ok", "step_ok"],
-            [[result.quotient_dim, result.status, pair_ok, step_ok]],
-        ))
-    else:
-        emit(args, f"{result.status}: quotient dim {result.quotient_dim}, "
-                   f"pair {'PASS' if pair_ok else 'FAIL'}, step {'PASS' if step_ok else 'FAIL'}\n")
+    header = ["quotient_dim", "status", "pair_ok", "step_ok"]
+    rows = [[result.quotient_dim, result.status, pair_ok, step_ok]]
+    human = [f"{result.status}: quotient dim {result.quotient_dim}, "
+             f"pair {'PASS' if pair_ok else 'FAIL'}, step {'PASS' if step_ok else 'FAIL'}"]
     if result.status == "inconclusive":
-        return EXIT_INCONCLUSIVE
-    return EXIT_PASS if identity_ok else EXIT_MISMATCH
+        ok = None
+    else:
+        ok = pair_ok and step_ok and result.quotient_dim == 1
+    return report(args, ok, payload, header, rows, human)
 
 
 def build_parser() -> Parser:

@@ -207,6 +207,20 @@ CURVES = {
 }
 
 
+def curve_key(name: str) -> tuple[int, int]:
+    """The key (n, dn) of `CURVES` that name spells.
+
+    name is "{n},{dn}" or a curve's name, case-insensitive, spaces
+    ignored.
+    """
+    key = name.strip().lower().replace(" ", "")
+    for (n, dn), curve in CURVES.items():
+        if key in (f"{n},{dn}", curve.name):
+            return n, dn
+    keys = " / ".join(f"{n},{dn}" for n, dn in CURVES)
+    raise ValueError(f"unknown curve {name!r} (use {keys} or a name)")
+
+
 @dataclass
 class KnotCompareReport:
     link: str  # canonical "T(n,dn)"

@@ -134,9 +134,6 @@ class LocalForm:
     num: MultiPoly
     den: tuple[MultiPoly, ...] = ()
 
-    def scaled(self, c) -> "LocalForm":
-        return LocalForm(self.num * c, self.den)
-
 
 ClassTuple = dict  # VertexKey -> LocalForm
 

@@ -127,9 +127,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, exp: Exp):
-        return self.terms.get(tuple(exp), ZERO)
-
     def constant_coeff(self):
         return self.terms.get(self.ring.zero_exp(), ZERO)
 

@@ -301,7 +301,7 @@ def test_flag_module_window():
 
 
 def test_stabilize_reports_inconclusive_growth():
-    from gkmslice.arrangement import SliceResult, _stabilize
+    from gkmslice.arrangement import STABILIZE_TRIES, SliceResult, _stabilize
     from gkmslice.linalg import SliceBasis, span
     from gkmslice.rationals import rat
 
@@ -311,8 +311,9 @@ def test_stabilize_reports_inconclusive_growth():
         basis = SliceBasis(list(range(40)))
         return SliceResult(basis, span(vecs, 40), xy_ring(1), margin=m)
 
-    result = _stabilize(growing, 0, tries=3)
+    result = _stabilize(growing, 0)
     assert result.status == "inconclusive"
+    assert result.margin == STABILIZE_TRIES
 
     def constant(m):
         basis = SliceBasis(list(range(4)))

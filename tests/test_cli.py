@@ -369,6 +369,21 @@ def test_gkm_verify_failure_stdout_is_pinned(capsys, tmp_path, monkeypatch, name
         assert hashlib.sha256(out.encode()).hexdigest() == expected, (name, fmt)
 
 
+def test_gkm_verify_class_label_ignores_the_path_spelling(capsys, tmp_path, monkeypatch):
+    graph_args, cls = _perturbed_class("SL2 d=1")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(class_to_json(cls)))
+    monkeypatch.chdir(tmp_path)
+    for fmt in ("json", "csv", "human"):
+        outs = {
+            run_cli(capsys, ["gkm-verify", *graph_args, "--classes-file", spelling,
+                             "--format", fmt])
+            for spelling in ("bad.json", "./bad.json", str(path))
+        }
+        assert len(outs) == 1, fmt
+    _, out = run_cli(capsys, ["gkm-verify", *graph_args, "--classes-file", str(path)])
+    assert json.loads(out)["class"] == "bad.json"
+
 # sha256 of stdout in each format, and the exit code, for the subcommands
 # and formats that the digests above leave out.
 REPORT_DIGESTS = {

@@ -6,8 +6,12 @@ refers to but its own definition. References are the names and
 attributes in the Python files of src/, tests/ and perfbench/ (plus
 string constants that are exactly an identifier, which is how
 perfbench/tracer.py names what it wraps), and the code spans of
-README.md. Words in docstrings and prose do not count. Dunder methods
-are called by the language and are skipped.
+README.md. Words in docstrings and prose do not count. A method counts
+as named only through an attribute access, a string constant or a
+README code span: a bare name (a local variable, or an unrelated
+function) of the same spelling does not reach it. Dunder methods are
+called by the language and are skipped, and `CALLED_ELSEWHERE` lists the
+methods that a library calls, with the reason.
 
 A definition that only unit tests name fails too, unless `TEST_SURFACE`
 lists it with the reason it stays. A definition is reached when
@@ -48,6 +52,12 @@ TEST_SURFACE = {
     "rootdata.weyl_elements": "checks the Weyl group orders of the hand-typed _FIXED tables",
 }
 
+# Methods that nothing here names because a library calls them, keyed
+# "module.qualname", with the reason.
+CALLED_ELSEWHERE = {
+    "cli.Parser.error": "argparse calls it on a usage error",
+}
+
 
 def qualified_definitions(source: str) -> list[tuple[str, int]]:
     """(qualname, line) of each top-level function or class and each method."""
@@ -62,24 +72,31 @@ def qualified_definitions(source: str) -> list[tuple[str, int]]:
     return [(q, line) for q, line in out if not q.split(".")[-1].startswith("__")]
 
 
-def definitions(source: str) -> list[tuple[str, int]]:
-    """(name, line) of each top-level function or class and each method."""
-    return [(q.split(".")[-1], line) for q, line in qualified_definitions(source)]
+def reference_key(qual: str) -> str:
+    """What a reference set holds when it names a definition: the name of
+    a top-level function or class, "." + name for a method."""
+    name = qual.split(".")[-1]
+    return "." + name if "." in qual else name
 
 
 def references(source: str) -> set[str]:
-    """Identifiers a Python source refers to (not the ones it defines)."""
+    """Identifiers a Python source refers to (not the ones it defines).
+
+    An attribute or an identifier string adds its name and "." + name,
+    which is what names a method; a bare name or an import adds only
+    the name.
+    """
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            names |= {node.attr, "." + node.attr}
         elif isinstance(node, ast.alias):
             names.add(node.name.split(".")[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
-                names.add(node.value)
+                names |= {node.value, "." + node.value}
     return names
 
 
@@ -131,15 +148,18 @@ def unread_fields(package: dict[str, str], reads: set[str]) -> list[str]:
 def markdown_references(text: str) -> set[str]:
     """Identifiers inside the code blocks and code spans of a Markdown file."""
     spans = re.findall(r"```.*?```|`[^`\n]+`", text, flags=re.DOTALL)
-    return {word for span in spans for word in re.findall(r"[A-Za-z_]\w*", span)}
+    words = {word for span in spans for word in re.findall(r"[A-Za-z_]\w*", span)}
+    return words | {"." + word for word in words}
 
 
-def unreferenced(package: dict[str, str], used: set[str]) -> list[str]:
+def unreferenced(package: dict[str, str], used: set[str], exempt=()) -> list[str]:
+    """Definitions that used does not name, but for the "module.qualname"
+    keys in exempt; package is keyed by file name."""
     return sorted(
-        f"{name} ({path}:{line})"
+        f"{qual} ({path}:{line})"
         for path, source in package.items()
-        for name, line in definitions(source)
-        if name not in used
+        for qual, line in qualified_definitions(source)
+        if reference_key(qual) not in used and f"{Path(path).stem}.{qual}" not in exempt
     )
 
 
@@ -155,7 +175,7 @@ def unlisted_test_surface(
         f"{Path(path).stem}.{qual}": line
         for path, source in package.items()
         for qual, line in qualified_definitions(source)
-        if qual.split(".")[-1] in only_tested
+        if reference_key(qual) in only_tested
     }
     unlisted = sorted(
         f"{key} (line {line}; list it in TEST_SURFACE or delete it)"
@@ -171,8 +191,20 @@ def test_detector_flags_an_unnamed_function():
     used = references("from m import used\nused()\n") | markdown_references("run `used` once")
     assert unreferenced(package, used) == ["unused (m.py:5)"]
     method = {"m.py": "class A:\n    def go(self):\n        pass\n\n    def __len__(self):\n        return 0\n"}
-    assert unreferenced(method, {"A"}) == ["go (m.py:2)"]
-    assert unreferenced(method, {"A", "go"}) == []
+    assert unreferenced(method, {"A"}) == ["A.go (m.py:2)"]
+    assert unreferenced(method, references("A().go()\n")) == []
+    assert unreferenced(method, {"A"}, exempt={"m.A.go"}) == []
+
+
+def test_detector_names_a_method_only_through_an_attribute():
+    method = {"m.py": "class A:\n    def go(self):\n        pass\n"}
+    # a local variable or an unrelated function of the same spelling
+    bare = references("from m import A\ngo = 1\n\n\ndef go():\n    return A\n")
+    assert unreferenced(method, bare) == ["A.go (m.py:2)"]
+    for reaching in (references("getattr(A(), 'go')\n"), markdown_references("call `A.go`")):
+        assert unreferenced(method, bare | reaching) == []
+    # a top-level function is still named by a bare name
+    assert unreferenced({"m.py": "def go():\n    pass\n"}, bare) == []
 
 
 def test_every_definition_is_named_somewhere():
@@ -181,7 +213,13 @@ def test_every_definition_is_named_somewhere():
         used |= references(path.read_text())
     used |= markdown_references((ROOT / "README.md").read_text())
     package = {path.name: path.read_text() for path in PACKAGE}
-    assert unreferenced(package, used) == []
+    defined = {
+        f"{Path(path).stem}.{qual}"
+        for path, source in package.items()
+        for qual, _ in qualified_definitions(source)
+    }
+    assert set(CALLED_ELSEWHERE) <= defined
+    assert unreferenced(package, used, exempt=CALLED_ELSEWHERE) == []
 
 
 def test_detector_flags_a_definition_only_unit_tests_name():
