@@ -9,24 +9,28 @@ check for the y variables.
 Lattice side: the group algebra Q[Lambda] tensor Q[y] (x variables
 Laurent) with per-root ideals (y_alpha, 1 - x^coroot)^d, the homology
 quotient by derivation kernels, and the rank-one affine flag module.
-Windowed slices are computed by spanning generators over a
-margin-enlarged box and cutting back, in the same elimination pass, to
-vectors supported inside the window; ranks are monotone in the margin
-and results carry a stabilization status.
+A windowed slice is the part, supported inside the window, of the span
+of the translates of its generators by the points of the window
+enlarged by a margin. It grows margin by margin (`_WindowSteps`): each
+generator family carries one `linalg.Restriction`, a step adds only the
+translates of the new shell of points, and no vector of an earlier step
+is eliminated again. Columns are numbered as products first appear,
+the window's monomials first. Ranks are monotone in the margin, and
+results carry a stabilization status.
 
-Every slice spanned by polynomial generators goes through
-`_generated_slice`. It takes generator families and builds the intersection of their spans
-over one ambient basis: each generator times the monomials of the
-remaining degree, from one multiplier table that all families share,
-read off the ambient basis by shifting the generator's exponents. The
-rows go to one `linalg.meet` call, which cuts each family's span back
-to the window (for windowed slices) and intersects the parts. The pair
-ideal intersection is one family per pair, the root ideal intersection
-one family per positive root; every other slice is a single family.
-The rank-one flag module is the one exception: its generators are not
-polynomials, so `flag_rank1_module_slice` writes their rows on the
-(level, coset) keys by hand and cuts them to the window with
-`linalg.restrict_to_columns`.
+Every other slice spanned by polynomial generators goes through
+`_generated_slice`. It takes generator families and builds the
+intersection of their spans over one ambient basis: each generator
+times the monomials of the remaining degree, from one multiplier table
+that all families share, read off the ambient basis by shifting the
+generator's exponents. The rows go to one `linalg.meet` call, which
+intersects the spans. The pair ideal intersection is one family per
+pair; every other slice is a single family. The windowed slices read
+generator products the same way, one family per positive root for the
+root ideal intersection and one family of relations for the homology
+quotient. The rank-one flag module's generators are not polynomials,
+so `flag_rank1_module_slice` writes their rows on the (level, coset)
+keys by hand.
 """
 
 from __future__ import annotations
@@ -39,12 +43,13 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .gkm import y_names
 from .linalg import (
+    Restriction,
     Row,
     SliceBasis,
     Subspace,
+    intersect_subspaces,
     kernel_of_rows,
     meet,
-    restrict_to_columns,
 )
 from .rationals import ONE, ZERO
 from .rings import Exp, Grading, MultiPoly, Ring, grading_for, ring, slice_monomials
@@ -101,27 +106,30 @@ class SliceResult:
 Family = Iterable[tuple[MultiPoly, tuple[int, int]]]  # generators with their degrees
 
 
+def _integer_terms(gen: MultiPoly) -> tuple[list[Exp], list[int]]:
+    """The exponents of a generator and its coefficients with their
+    denominators cleared."""
+    den = lcm(*(int(c.denominator) for c in gen.terms.values()))
+    return list(gen.terms), [int(c * den) for c in gen.terms.values()]
+
+
 def _generated_slice(
     rg: Ring,
     grading: Grading,
     deg: tuple[int, int],
     ambient: SliceBasis,
     families: Iterable[Family],
-    gen_window: Mapping | None = None,
-    window_keys: Sequence | None = None,
 ) -> SliceResult:
     """Intersection over families of the span of generator * monomial at deg.
 
     Each generator comes with its degree and is multiplied by every
-    monomial of the remaining degree (inside gen_window when given); the
-    monomials of each remaining degree are listed once for all families.
-    A generator's denominators are cleared once, and a product is its
-    integer terms with the exponents shifted by the monomial, so its row
-    is read off the ambient index directly. Without a window every
-    product must lie in the ambient basis (KeyError otherwise). With
-    one, products leaving it are dropped and each family's span is cut
-    back to the vectors supported on window_keys. One `meet` call takes
-    the families one at a time and intersects their parts.
+    monomial of the remaining degree; the monomials of each remaining
+    degree are listed once for all families. A generator's denominators
+    are cleared once, and a product is its integer terms with the
+    exponents shifted by the monomial, so its row is read off the
+    ambient index directly; every product must lie in the ambient basis
+    (KeyError otherwise). One `meet` call takes the families one at a
+    time and intersects their spans.
     """
     multipliers: dict[tuple[int, int], list[Exp]] = {}
     index = ambient.index
@@ -132,21 +140,16 @@ def _generated_slice(
             if rem[0] < 0 or rem[1] < 0:
                 continue
             if rem not in multipliers:
-                multipliers[rem] = slice_monomials(rg, grading, rem, gen_window)
-            exps = list(gen.terms)
-            den = lcm(*(int(c.denominator) for c in gen.terms.values()))
-            coeffs = [int(c * den) for c in gen.terms.values()]
+                multipliers[rem] = slice_monomials(rg, grading, rem)
+            exps, coeffs = _integer_terms(gen)
             for m in multipliers[rem]:
                 cols = [index.get(tuple(map(add, e, m))) for e in exps]
-                if None not in cols:
-                    yield dict(zip(cols, coeffs))
-                elif gen_window is None:
+                if None in cols:
                     raise KeyError(f"product of {gen} and {m} outside slice basis")
+                yield dict(zip(cols, coeffs))
 
-    keep = range(len(ambient)) if window_keys is None else [index[k] for k in window_keys]
-    space = meet([rows(family) for family in families], keep, len(ambient))
-    basis = ambient if window_keys is None else SliceBasis(window_keys)
-    return SliceResult(basis, space, rg)
+    space = meet([rows(family) for family in families], range(len(ambient)), len(ambient))
+    return SliceResult(ambient, space, rg)
 
 
 def _shift_rows(src: SliceResult, dst: SliceResult, var: str) -> Iterable[Row]:
@@ -263,7 +266,7 @@ def vanishing_slice(n: int, d: int, deg: tuple[int, int]) -> SliceResult:
                 key = (pidx, gexp)
                 col = cond_index.setdefault(key, len(cond_index))
                 rows[bidx][col] = rows[bidx].get(col, ZERO) + c
-    kern = kernel_of_rows(rows, len(cond_index))
+    kern = kernel_of_rows(rows)
     return SliceResult(basis, kern, rg)
 
 
@@ -475,21 +478,109 @@ def _window_dict(bounds: Sequence[tuple[int, int]]) -> dict:
     return {f"x{i+1}": tuple(b) for i, b in enumerate(bounds)}
 
 
-def _margin_box(
-    rd: RootDatum,
-    rg: Ring,
-    grading: Grading,
-    ydeg: int,
-    bounds: Sequence[tuple[int, int]],
-    d: int,
-    margin: int,
-) -> tuple[SliceBasis, dict]:
-    """Ambient basis over the window enlarged by (margin + d) coroot
-    reaches, and the generator window enlarged by margin reaches."""
+def _shell(
+    bounds: Sequence[tuple[int, int]], reach: int, inner: int | None, outer: int
+) -> list[tuple[int, ...]]:
+    """The lattice points of the window enlarged by outer reaches but
+    not of the window enlarged by inner reaches (every point when inner
+    is None)."""
+    box = itertools.product(*(range(lo, hi + 1) for lo, hi in _enlarged(bounds, outer * reach)))
+    if inner is None:
+        return list(box)
+    small = _enlarged(bounds, inner * reach)
+    return [lam for lam in box if not all(lo <= c <= hi for c, (lo, hi) in zip(lam, small))]
+
+
+# The integer rows of one family's translates by the points of a shell,
+# numbering the keys of their terms in a shared key -> column dict.
+Translates = Callable[[Sequence[tuple[int, ...]], dict], Iterable[Row]]
+
+
+class _WindowSteps:
+    """The margin steps of a windowed slice, grown by one carried
+    elimination per generator family; `_stabilize` calls it with
+    increasing margins.
+
+    The slice is the intersection over families of the part of each
+    family's span that lies on the window, where a family at margin m
+    is its translates by the points of the window enlarged by m reaches.
+    Columns are numbered as keys first appear, the window's keys first
+    in their order, so the window is the first columns and the block
+    every later one. A call with margin m adds only the translates of
+    the shell that margin m adds (every point at the first call) to each
+    family's `linalg.Restriction`, and returns a snapshot of the window
+    part: the part itself is copied for one family, the parts are
+    intersected for more.
+    """
+
+    def __init__(
+        self,
+        rg: Ring,
+        window_keys: Sequence,
+        bounds: Sequence[tuple[int, int]],
+        reach: int,
+        families: Sequence[Translates],
+    ):
+        self.ring = rg
+        self.basis = SliceBasis(window_keys)
+        self.bounds = bounds
+        self.reach = reach
+        self.families = families
+        self.columns = dict(self.basis.index)
+        self.carried = [Restriction(len(self.basis)) for _ in families]
+        self.margin: int | None = None  # the margin reached so far
+
+    def __call__(self, m: int) -> SliceResult:
+        shell = _shell(self.bounds, self.reach, self.margin, m)
+        fresh = len(self.columns)
+        for carried, translates in zip(self.carried, self.families):
+            carried.extend(translates(shell, self.columns), fresh)
+        self.margin = m
+        spaces = [carried.part for carried in self.carried]
+        space = spaces[0].copy() if len(spaces) == 1 else intersect_subspaces(*spaces)
+        return SliceResult(self.basis, space, self.ring, margin=m)
+
+
+def _lattice_steps(
+    rd: RootDatum, rg: Ring, ydeg: int, bounds: Sequence[tuple[int, int]], families: Sequence[Family]
+) -> _WindowSteps:
+    """The margin steps of the y-degree ydeg window slice of the
+    intersection of the spans of generator families, for `_stabilize`.
+
+    A translate is a generator times x^lam y^b, with b of the remaining
+    y-degree; a margin step reaches as far as the largest coroot entry.
+    As in `_generated_slice`, a product is the generator's integer terms
+    with the exponents shifted.
+    """
+    grading = lattice_grading(rd, rg)
+    pin = _window_dict([(0, 0)] * rd.rank)
+    ys: dict[int, list[tuple[int, ...]]] = {}  # y-degree -> y parts of its monomials
+
+    def translates(family: Family) -> Translates:
+        gens = []
+        for gen, (gdeg, _) in family:
+            rem = ydeg - gdeg
+            if rem < 0:
+                continue
+            if rem not in ys:
+                ys[rem] = [e[rd.rank :] for e in slice_monomials(rg, grading, (rem, 0), pin)]
+            gens.append((*_integer_terms(gen), ys[rem]))
+
+        def rows(shell, columns):
+            for exps, coeffs, yparts in gens:
+                for lam in shell:
+                    for y in yparts:
+                        m = lam + y
+                        yield {
+                            columns.setdefault(tuple(map(add, e, m)), len(columns)): c
+                            for e, c in zip(exps, coeffs)
+                        }
+
+        return rows
+
+    window_keys = slice_monomials(rg, grading, (ydeg, 0), _window_dict(bounds))
     reach = max((max(abs(c) for c in cor) for cor in rd.coroots), default=1)
-    big = _window_dict(_enlarged(bounds, (margin + d) * reach))
-    ambient = SliceBasis(slice_monomials(rg, grading, (ydeg, 0), big))
-    return ambient, _window_dict(_enlarged(bounds, margin * reach))
+    return _WindowSteps(rg, window_keys, bounds, reach, [translates(f) for f in families])
 
 
 def coroot_monomial(rd: RootDatum, rg: Ring, root_index: int) -> MultiPoly:
@@ -506,9 +597,12 @@ STABILIZE_TRIES = 4
 
 
 def _stabilize(compute: Callable[[int], SliceResult], margin0: int) -> SliceResult:
-    """Increase the margin until one further step does not change the rank."""
-    if margin0 < 0:
-        raise ValueError(f"margin must be >= 0, got {margin0}")
+    """Increase the margin until one further step does not change the rank.
+
+    compute(m) is called with margin0, margin0 + 1, ... in that order,
+    so that it can carry its work from one margin to the next, and must
+    return a result that later calls leave unchanged (a snapshot).
+    """
     prev = compute(margin0)
     m = margin0
     for _ in range(STABILIZE_TRIES):
@@ -521,6 +615,16 @@ def _stabilize(compute: Callable[[int], SliceResult], margin0: int) -> SliceResu
     prev.status = "inconclusive"
     prev.margin = m
     return prev
+
+
+def _first_margin(margin: int | None, default: int) -> int:
+    """The margin a windowed slice starts from; a negative one is rejected
+    before any work is done."""
+    if margin is None:
+        return default
+    if margin < 0:
+        raise ValueError(f"margin must be >= 0, got {margin}")
+    return margin
 
 
 def _check_lattice_degrees(
@@ -559,19 +663,10 @@ def jd_root_slice(
     if rd.npos == 0:
         raise ValueError("root datum has no positive roots")
     _check_lattice_degrees(rd, d, ydeg, bounds)
+    margin0 = _first_margin(margin, 2 * d)
     rg = lattice_ring(rd)
-    grading = lattice_grading(rd, rg)
-    margin0 = 2 * d if margin is None else margin
-    window_keys = slice_monomials(rg, grading, (ydeg, 0), _window_dict(bounds))
-    per_root = _root_families(rd, rg, d, ydeg)
-
-    def compute(m: int) -> SliceResult:
-        ambient, gen_window = _margin_box(rd, rg, grading, ydeg, bounds, d, m)
-        return _generated_slice(
-            rg, grading, (ydeg, 0), ambient, per_root, gen_window, window_keys
-        )
-
-    return _stabilize(compute, margin0)
+    steps = _lattice_steps(rd, rg, ydeg, bounds, _root_families(rd, rg, d, ydeg))
+    return _stabilize(steps, margin0)
 
 
 # ---- homology quotient by derivation kernels ----
@@ -605,7 +700,7 @@ def _derivation_kernel(
         for _ in range(k):
             p = apply(p)
         rows.append(codomain.vector_from_poly(p))
-    kern = kernel_of_rows(rows, len(codomain))
+    kern = kernel_of_rows(rows)
     domain = SliceBasis(dom_keys)
     return [domain.poly(rg, row) for row in kern.rows]
 
@@ -651,23 +746,14 @@ def ordinary_homology_quotient_slice(
     coroot> partial_{y_i}.
     """
     _check_lattice_degrees(rd, d, ydeg, bounds)
+    margin0 = _first_margin(margin, 2 * d)
     rg = lattice_ring(rd)
-    grading = lattice_grading(rd, rg)
-    margin0 = 2 * d if margin is None else margin
-    window_keys = slice_monomials(rg, grading, (ydeg, 0), _window_dict(bounds))
-    generators = _relation_generators(rd, rg, d, ydeg)
-
-    def compute(m: int) -> SliceResult:
-        ambient, gen_window = _margin_box(rd, rg, grading, ydeg, bounds, d, m)
-        return _generated_slice(
-            rg, grading, (ydeg, 0), ambient, [generators], gen_window, window_keys
-        )
-
-    sub = _stabilize(compute, margin0)
+    steps = _lattice_steps(rd, rg, ydeg, bounds, [_relation_generators(rd, rg, d, ydeg)])
+    sub = _stabilize(steps, margin0)
     return QuotientResult(
-        ambient_dim=len(window_keys),
+        ambient_dim=len(sub.basis),
         submodule_rank=sub.rank,
-        quotient_dim=len(window_keys) - sub.rank,
+        quotient_dim=len(sub.basis) - sub.rank,
         status=sub.status,
         margin=sub.margin,
         submodule=sub,
@@ -696,6 +782,20 @@ class FlagModuleResult:
         return self.space.contains(vec)
 
 
+def _flag_steps(bounds: tuple[int, int]) -> _WindowSteps:
+    """The margin steps of the flag module's window slice: a step adds
+    the rows of x^a (1 - s) and x^a (1 - x) for the levels a it adds."""
+    lo, hi = bounds
+
+    def rows(shell, columns):
+        for (a,) in shell:
+            for terms in (((a, "e"), (a, "s")), ((a, "e"), (a + 1, "e"))):
+                yield {columns.setdefault(key, len(columns)): c for key, c in zip(terms, (1, -1))}
+
+    window_keys = [(a, w) for a in range(lo, hi + 1) for w in ("e", "s")]
+    return _WindowSteps(ring(["x"], laurent=["x"]), window_keys, [bounds], 1, [rows])
+
+
 def flag_rank1_module_slice(bounds: tuple[int, int], margin: int | None = None) -> FlagModuleResult:
     """Window slice of the span of {1 - s, 1 - x, y} inside the group algebra.
 
@@ -703,27 +803,13 @@ def flag_rank1_module_slice(bounds: tuple[int, int], margin: int | None = None) 
     zero layer, where the generators contribute x^m (1 - s) supported on
     {(m,e),(m,s)} and x^m (1 - x) supported on {(m,e),(m+1,e)}.
     """
-    lo, hi = bounds
-    margin0 = 0 if margin is None else margin
-    window_keys = [(a, w) for a in range(lo, hi + 1) for w in ("e", "s")]
-
-    def compute(m: int) -> SliceResult:
-        big = [(a, w) for a in range(lo - m - 1, hi + m + 2) for w in ("e", "s")]
-        ambient = SliceBasis(big)
-        rows = []
-        for a in range(lo - m, hi + m + 1):
-            rows.append(ambient.vector({(a, "e"): ONE, (a, "s"): -ONE}))
-            rows.append(ambient.vector({(a, "e"): ONE, (a + 1, "e"): -ONE}))
-        keep = [ambient.index[k] for k in window_keys]
-        space = restrict_to_columns(rows, keep, len(ambient))
-        return SliceResult(SliceBasis(window_keys), space, ring(["x"], laurent=["x"]), margin=m)
-
-    sub = _stabilize(compute, margin0)
+    margin0 = _first_margin(margin, 0)
+    sub = _stabilize(_flag_steps(bounds), margin0)
     return FlagModuleResult(
         basis=sub.basis,
         space=sub.space,
-        ambient_dim=len(window_keys),
-        quotient_dim=len(window_keys) - sub.rank,
+        ambient_dim=len(sub.basis),
+        quotient_dim=len(sub.basis) - sub.rank,
         status=sub.status,
         margin=sub.margin,
     )

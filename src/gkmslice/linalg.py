@@ -17,27 +17,33 @@ entries, as in Bareiss 1968), through three routines:
   readers of a Subspace's canonical form build it (`rows`, `contains`,
   `reduce` and `==`), on first use; the only rationals are made at the
   boundary, where `rows` and `reduce` return the canonical RREF over Q.
-- `_kernel` finds which part of a span vanishes on a block of leading
-  columns. It holds all the vectors at once and eliminates the block
-  column by column, the column with the fewest holders first, dropping
-  each pivot vector once its column is cleared (Markowitz pivoting).
-  What the other vectors leave past the block spans the answer.
+- `_kernel` finds which part of a span is 0 on a block of columns,
+  every column from a given width on. It eliminates the block column
+  by column, the column with the fewest holders first, dropping each
+  pivot vector once its column is cleared (Markowitz pivoting). What
+  the other vectors leave on the first columns spans the answer. The
+  pivots are dropped for good unless the caller asks for them.
 
-`meet` is the one caller of `_kernel`. It intersects, over families of
-vectors, the part of each family's span on the kept columns: one
-`_kernel` call per family with the dropped columns as the block, and
-for two or more families one more over their echelon rows, chained as
-in Zassenhaus' algorithm. `restrict_to_columns` is one family,
-`intersect_subspaces` two that keep every column, and `kernel_of_rows`
-one whose i-th row is tagged with an identity column past the original
-columns, keeping only the tags: the relations among the rows.
+Two things use `_kernel`. `meet` intersects, over families of vectors,
+the part of each family's span on the kept columns: the kept columns
+are put first, one `_kernel` call per family makes the dropped columns
+the block, and for two or more families one more call over their
+echelon rows in a chained Zassenhaus layout intersects the parts.
+`restrict_to_columns` is one family and `intersect_subspaces` the last
+call alone. `kernel_of_rows` is one `_kernel` call on the rows, each
+tagged with an identity column in front of its own columns: what is 0
+on the rows' columns holds the relations among the rows in its tags.
+`Restriction` is a restriction carried across calls: it keeps the
+pivots that `_kernel` dropped, in elimination order, so that vectors
+added later are reduced by them and no vector added earlier is
+eliminated again. The margin steps of windowed slices grow through it.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .rationals import rat
 from .rings import MultiPoly, Ring
@@ -86,15 +92,18 @@ class SliceBasis:
         return MultiPoly(ring, {self.keys[i]: c for i, c in vec.items()})
 
 
-def _integer(vec: Row) -> tuple[Row, int]:
-    """(den * vec as an int vector, den): den is the lcm of the denominators."""
+def _integer(vec: Row, shift: int = 0) -> tuple[Row, int]:
+    """(den * vec as an int vector, den): den is the lcm of the
+    denominators. Column j of vec becomes column j + shift."""
     den = 1
     for c in vec.values():
         if c.denominator != 1:
             den = lcm(den, int(c.denominator))
     if den == 1:
-        return {j: int(c) for j, c in vec.items() if c}, 1
-    return {j: int(c.numerator) * (den // int(c.denominator)) for j, c in vec.items() if c}, den
+        return {j + shift: int(c) for j, c in vec.items() if c}, 1
+    return {
+        j + shift: int(c.numerator) * (den // int(c.denominator)) for j, c in vec.items() if c
+    }, den
 
 
 def _primitive(v: Row) -> Row:
@@ -271,38 +280,40 @@ def sum_subspaces(a: Subspace, b: Subspace) -> Subspace:
     return out
 
 
-def _kernel(vectors: Iterable[Row], base: int, count: int) -> Subspace:
-    """The elements of the span of integer vectors that vanish on the
-    first `base` columns, cut to the next `count` columns: a subspace of
-    Q^count, where column base + i becomes column i.
+def _kernel(
+    vectors: Iterable[Row], width: int, add: Callable[[Row], object], pivots: list | None = None
+) -> None:
+    """Pass to `add` vectors that span the elements of the span of the
+    integer vectors that are 0 on every column from `width` on (the
+    block).
 
     Markowitz block elimination (Markowitz 1957; LaMacchia and Odlyzko
-    1990). The vectors that hold a column below base are kept together;
-    a vector with none goes straight into the result. The column that
-    the fewest vectors hold is eliminated first: a heap is keyed by
-    holder count * base + column, and a key whose count has grown since
-    it was pushed is pushed again when it comes out. The shortest holder
-    is the pivot. Every other holder takes the fraction-free step of
-    `_eliminate`, with its content divided out when it was rescaled, so
-    the entries of a vector that is combined many times stay small. Then
-    the pivot is dropped: it is the only vector left on that column, so
-    no combination that vanishes below base can use it. A holder with no
-    column below base left joins the result, which stays in echelon form
-    until its canonical form is asked for. It changes the vectors it is
-    given.
+    1990). The vectors that hold a block column are kept together; a
+    vector with none goes straight to `add`. The column that the fewest
+    vectors hold is eliminated first: a heap is keyed by holder count
+    and column, and a key whose count has grown since it was pushed is
+    pushed again when it comes out. The shortest holder is the pivot.
+    Every other holder takes the fraction-free step of `_eliminate`,
+    with its content divided out when it was rescaled, so the entries of
+    a vector that is combined many times stay small. Then the pivot is
+    dropped: it is the only vector left on that column, so no
+    combination that is 0 on the block can use it. A holder with no
+    block column left goes to `add`. When `pivots` is a list, (column,
+    pivot) is appended to it in elimination order, so each pivot there
+    holds no column of an earlier one; otherwise no pivot outlives the
+    call. It changes the vectors it is given.
     """
-    out = Subspace(count)
     held: list[Row | None] = []
-    low: list[int] = []  # how many columns below base each held vector has
-    holders: list[list[int] | None] = [None] * base  # indices of vectors that held a column
+    low: list[int] = []  # how many block columns each held vector has
+    seen: dict[int, list[int]] = {}  # block column -> indices of the vectors that held it
     for v in vectors:
         i = len(held)
         n = 0
         for j in v:
-            if j < base:
-                hs = holders[j]
+            if j >= width:
+                hs = seen.get(j)
                 if hs is None:
-                    holders[j] = [i]
+                    seen[j] = [i]
                 else:
                     hs.append(i)
                 n += 1
@@ -310,17 +321,24 @@ def _kernel(vectors: Iterable[Row], base: int, count: int) -> Subspace:
             held.append(v)
             low.append(n)
         elif v:
-            out._add({j - base: c for j, c in v.items()} if base else v)
-    count_of = [0 if hs is None else len(hs) for hs in holders]  # < 0 once eliminated
-    heap = [k * base + j for j, k in enumerate(count_of) if k]
+            add(v)
+    size = max(seen, default=0) + 1
+    holders: list[list[int] | None] = [None] * size
+    count_of = [0] * size  # < 0 once eliminated
+    heap = []
+    for j, hs in seen.items():
+        holders[j] = hs
+        count_of[j] = len(hs)
+        heap.append(len(hs) * size + j)
+    del seen  # before the elimination, where the memory peaks
     heapify(heap)
     while heap:
-        k, p = divmod(heappop(heap), base)
+        k, p = divmod(heappop(heap), size)
         now = count_of[p]
         if now < 0:  # already eliminated
             continue
         if now > k:
-            heappush(heap, now * base + p)
+            heappush(heap, now * size + p)
             continue
         count_of[p] = -1
         live = [i for i in dict.fromkeys(holders[p]) if (w := held[i]) is not None and p in w]
@@ -330,8 +348,10 @@ def _kernel(vectors: Iterable[Row], base: int, count: int) -> Subspace:
         pi = live[0] if len(live) == 1 else min(live, key=lambda i: len(held[i]))
         pivot = held[pi]
         held[pi] = None
+        if pivots is not None:
+            pivots.append((p, pivot))
         for j in pivot:
-            if j < base:
+            if j >= width:
                 count_of[j] -= 1
         a = pivot[p]
         for i in live:
@@ -352,7 +372,7 @@ def _kernel(vectors: Iterable[Row], base: int, count: int) -> Subspace:
                 y = w.get(j)
                 if y is None:
                     w[j] = -f * x
-                    if j < base:
+                    if j >= width:
                         holders[j].append(i)
                         count_of[j] += 1
                         n += 1
@@ -362,7 +382,7 @@ def _kernel(vectors: Iterable[Row], base: int, count: int) -> Subspace:
                         w[j] = y
                     else:
                         del w[j]
-                        if j < base:
+                        if j >= width:
                             n -= 1
                             count_of[j] -= 1
             if m != 1:
@@ -375,7 +395,119 @@ def _kernel(vectors: Iterable[Row], base: int, count: int) -> Subspace:
             else:
                 held[i] = None
                 if w:
-                    out._add({j - base: c for j, c in w.items()})
+                    add(w)
+
+
+class Restriction:
+    """The part on the first `width` columns of a span that grows: the
+    carried elimination behind the margin steps of windowed slices.
+
+    The block is every column from `width` on. `extend` adds integer
+    vectors to the span, and `part` is then the part of the whole span
+    that is 0 on the block. The pivots that `_kernel` dropped are kept
+    in one order (`_order`, and `_at` from a pivot column to its place
+    there) in which each pivot holds no column of an earlier one. Then
+    the span is the pivots plus `part`, and no nonzero combination of
+    pivots is 0 on every pivot column (look at the earliest pivot it
+    uses), so `part` is all of the span that is 0 on the block.
+
+    `extend` keeps this without touching a vector added before. The new
+    vectors are first eliminated on the fresh columns, which no earlier
+    vector holds, and those pivots go in front of the order (no earlier
+    pivot holds a fresh column). What is left is reduced by the recorded
+    pivots in their order (`_replay`); after that it holds no pivot
+    column, as each later pivot holds no column of an earlier one. The
+    block columns still left on it are eliminated last, those pivots go
+    at the end of the order, and what remains joins `part`. `part` only
+    grows, so a caller that keeps a result copies it.
+    """
+
+    def __init__(self, width: int):
+        self.part = Subspace(width)
+        self._order: list[tuple[int, Row]] = []  # (column, pivot) in elimination order
+        self._at: dict[int, int] = {}  # pivot column -> its place in _order
+
+    def _replay(self, v: Row) -> Row:
+        """Reduce the integer vector v in place by the recorded pivots."""
+        at, order = self._at, self._order
+        heap = [at[j] for j in v if j in at]
+        if not heap:
+            return v
+        heapify(heap)
+        rescaled = False
+        while heap:
+            p, pivot = order[heappop(heap)]
+            c = v.get(p)
+            if c is None:  # cancelled after it was pushed
+                continue
+            a = pivot[p]
+            g = gcd(a, c)
+            if a < 0:
+                g = -g
+            m = a // g
+            if m != 1:
+                rescaled = True
+                for j, x in v.items():
+                    v[j] = m * x
+            f = c // g
+            for j, x in pivot.items():
+                y = v.get(j)
+                if y is None:
+                    v[j] = -f * x
+                    k = at.get(j)
+                    if k is not None:
+                        heappush(heap, k)
+                else:
+                    y -= f * x
+                    if y:
+                        v[j] = y
+                    else:
+                        del v[j]
+        if rescaled and v:
+            g = gcd(*v.values())
+            if g != 1:
+                for j, x in v.items():
+                    v[j] = x // g
+        return v
+
+    def extend(self, vectors: Iterable[Row], fresh: int) -> None:
+        """Add integer vectors to the span; it changes them. No vector
+        added before holds a column from `fresh` on."""
+        first: list[tuple[int, Row]] = []
+        rest: list[Row] = []
+        _kernel(vectors, fresh, rest.append, first)
+        last: list[tuple[int, Row]] = []
+        _kernel(map(self._replay, rest), self.part.ncols, self.part._add, last)
+        self._order = first + self._order + last
+        self._at = {p: k for k, (p, _) in enumerate(self._order)}
+
+
+def _intersect(parts: Sequence[Subspace]) -> Subspace:
+    """The intersection of subspaces of one Q^width, from their echelon
+    rows: the first part itself when there is one, else one `_kernel`
+    call over a chained Zassenhaus layout. Columns 0..width-1 are the
+    result block, then k - 1 difference blocks of width columns. A row
+    of P_i goes into block i negated and, when i < k - 1, into block
+    i + 1. What vanishes on the difference blocks holds one element in
+    every part and leaves it in the result block.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    width = parts[0].ncols
+    end = len(parts) * width
+
+    def chained():
+        for i, part in enumerate(parts):
+            lo, hi = i * width, (i + 1) * width
+            for row in part._ech.values():
+                v = {lo + j: -c for j, c in row.items()}
+                if hi < end:
+                    for j, c in row.items():
+                        v[hi + j] = c
+                yield v
+
+    out = Subspace(width)
+    _kernel(chained(), width, out._add)
     return out
 
 
@@ -383,21 +515,15 @@ def meet(families: Iterable[Iterable[Row]], keep: Sequence[int], ncols: int) -> 
     """The intersection over one or more families of vectors in Q^ncols
     of the part of each family's span supported on `keep`, reindexed.
 
-    Stage 1 is one `_kernel` call per family, with the dropped columns
-    ordered first as the block; each input row is copied to integers
-    in that order, and never changed. Stage 2, for k >= 2
-    families, is one more `_kernel` call over the echelon rows of the
-    parts P_1..P_k in a chained Zassenhaus layout: k - 1 difference
-    blocks of len(keep) columns, then the result block. A row of P_i
-    goes into block i - 1 negated and, when i < k, into block i; block 0
-    is the result block. What vanishes on the difference blocks holds
-    one element in every part and leaves it in the result block.
+    One `_kernel` call per family, with the kept columns ordered first
+    and the dropped ones after them as the block; each input row is
+    copied to integers in that order, and never changed. For two or
+    more families, `_intersect` then joins the parts.
     """
     keep_set = set(keep)
-    drop = [j for j in range(ncols) if j not in keep_set]
-    base, width = len(drop), len(keep)
+    width = len(keep)
     order = [0] * ncols
-    for i, j in enumerate(drop + list(keep)):
+    for i, j in enumerate([*keep, *(j for j in range(ncols) if j not in keep_set)]):
         order[j] = i
 
     def integer(family):
@@ -406,42 +532,40 @@ def meet(families: Iterable[Iterable[Row]], keep: Sequence[int], ncols: int) -> 
                 vec = _integer(vec)[0]
             yield {order[j]: c for j, c in vec.items()}
 
-    parts = [_kernel(integer(family), base, width) for family in families]
-    if len(parts) == 1:
-        return parts[0]
-    result = (len(parts) - 1) * width
-
-    def chained():
-        for i, part in enumerate(parts):
-            lo, hi = (i - 1) % len(parts) * width, i * width
-            for row in part._ech.values():
-                v = {lo + j: -c for j, c in row.items()}
-                if hi < result:
-                    for j, c in row.items():
-                        v[hi + j] = c
-                yield v
-
-    return _kernel(chained(), result, width)
+    parts = []
+    for family in families:
+        parts.append(Subspace(width))
+        _kernel(integer(family), width, parts[-1]._add)
+    return _intersect(parts)
 
 
-def intersect_subspaces(a: Subspace, b: Subspace) -> Subspace:
-    """A cap B, from the echelon rows of both."""
-    if a.ncols != b.ncols:
+def intersect_subspaces(*spaces: Subspace) -> Subspace:
+    """The intersection of two or more subspaces, from their echelon rows."""
+    if len({s.ncols for s in spaces}) != 1:
         raise ValueError("column count mismatch")
-    return meet([a._ech.values(), b._ech.values()], range(a.ncols), a.ncols)
+    if len(spaces) < 2:
+        raise ValueError("need two or more subspaces")
+    return _intersect(spaces)
 
 
-def kernel_of_rows(rows: Sequence[Row], ncols: int) -> Subspace:
-    """Kernel of u -> sum u_i rows_i, as a subspace of Q^len(rows)."""
+def kernel_of_rows(rows: Sequence[Row]) -> Subspace:
+    """Kernel of u -> sum u_i rows_i, as a subspace of Q^len(rows).
+
+    Row i is copied once to integers, behind an identity tag in column
+    i; the block is the row's own columns, so what vanishes there holds
+    the relations among the rows in its tags.
+    """
+    width = len(rows)
 
     def tagged():
         for i, row in enumerate(rows):
-            v, den = _integer(row)
-            v[ncols + i] = den
+            v, den = _integer(row, width)
+            v[i] = den
             yield v
 
-    total = ncols + len(rows)
-    return meet([tagged()], range(ncols, total), total)
+    out = Subspace(width)
+    _kernel(tagged(), width, out._add)
+    return out
 
 
 def restrict_to_columns(vectors: Iterable[Row], keep: Sequence[int], ncols: int) -> Subspace:

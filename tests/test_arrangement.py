@@ -1,12 +1,15 @@
 """Diagonal ideal slices, quotients, and windowed lattice modules."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkmslice.arrangement import (
+    _flag_steps,
     _generated_slice,
-    _margin_box,
+    _lattice_steps,
     _relation_generators,
     _root_families,
     _window_dict,
@@ -28,7 +31,7 @@ from gkmslice.arrangement import (
     vanishing_slice,
     xy_ring,
 )
-from gkmslice.linalg import SliceBasis, intersect_subspaces
+from gkmslice.linalg import SliceBasis, intersect_subspaces, restrict_to_columns
 from gkmslice.rings import MultiPoly, grading_for, ring, slice_monomials
 from gkmslice.rootdata import root_datum
 
@@ -41,21 +44,12 @@ def xy_gens(n):
 
 
 def test_generated_slice_product_outside_basis():
-    # unwindowed: x * y leaves the basis {x^2}, which is an error
+    # x * y leaves the basis {x^2}, which is an error
     rg = ring(["x", "y"])
     grading = grading_for(rg, {"x": (1, 0), "y": (1, 0)})
     x = MultiPoly.gen(rg, "x")
     with pytest.raises(KeyError):
         _generated_slice(rg, grading, (2, 0), SliceBasis([(2, 0)]), [[(x, (1, 0))]])
-    # windowed: (1 - x) * x leaves the box x^-1..x and is dropped
-    rg = ring(["x", "y"], laurent=["x"])
-    grading = grading_for(rg, {"y": (1, 0)})
-    box = {"x": (-1, 1)}
-    ambient = SliceBasis(slice_monomials(rg, grading, (0, 0), box))
-    one_minus_x = MultiPoly.one(rg) - MultiPoly.gen(rg, "x")
-    window = [(0, 0), (1, 0)]
-    out = _generated_slice(rg, grading, (0, 0), ambient, [[(one_minus_x, (0, 0))]], box, window)
-    assert out.row_polys() == [one_minus_x]
 
 
 def test_pair_slice_rank():
@@ -106,27 +100,28 @@ def test_spanning_matches_intersected_pair_slices(d):
             assert jd_slice(3, d, deg).space == folded, (d, deg)
 
 
+def lattice_case(group, window):
+    rd = root_datum(group)
+    return rd, lattice_ring(rd), [window] * rd.rank
+
+
 @pytest.mark.parametrize(
     "group,d,ydeg,window",
     [("GL3", 1, 2, (0, 1)), ("B2", 1, 2, (-1, 1)), ("G2", 1, 1, (-2, 2))],
     ids=["GL3", "B2", "G2"],
 )
 def test_windowed_families_match_single_family_intersections(group, d, ydeg, window):
-    rd = root_datum(group)
-    rg = lattice_ring(rd)
-    grading = lattice_grading(rd, rg)
-    bounds = [window] * rd.rank
-    window_keys = slice_monomials(rg, grading, (ydeg, 0), _window_dict(bounds))
-    ambient, gen_window = _margin_box(rd, rg, grading, ydeg, bounds, d, 2 * d)
+    rd, rg, bounds = lattice_case(group, window)
     families = _root_families(rd, rg, d, ydeg)
 
     def build(fams):
-        return _generated_slice(rg, grading, (ydeg, 0), ambient, fams, gen_window, window_keys)
+        return _lattice_steps(rd, rg, ydeg, bounds, fams)(2 * d)
 
     together = build(families)
     one_by_one = build(families[:1]).space
     for family in families[1:]:
         one_by_one = intersect_subspaces(one_by_one, build([family]).space)
+    window_keys = slice_monomials(rg, lattice_grading(rd, rg), (ydeg, 0), _window_dict(bounds))
     assert together.basis.keys == tuple(window_keys)
     assert together.space == one_by_one
     assert 0 < together.rank < len(window_keys)
@@ -139,19 +134,103 @@ def test_windowed_families_match_single_family_intersections(group, d, ydeg, win
 )
 def test_windowed_rank_does_not_drop_as_the_margin_grows(group, ydeg, window):
     # a wider margin only adds relation products, so the window sees more
-    rd = root_datum(group)
-    rg = lattice_ring(rd)
-    grading = lattice_grading(rd, rg)
-    bounds = [window] * rd.rank
-    window_keys = slice_monomials(rg, grading, (ydeg, 0), _window_dict(bounds))
-    families = [_relation_generators(rd, rg, 1, ydeg)]
-    ranks = []
-    for margin in range(4):
-        ambient, gen_window = _margin_box(rd, rg, grading, ydeg, bounds, 1, margin)
-        part = _generated_slice(rg, grading, (ydeg, 0), ambient, families, gen_window, window_keys)
-        ranks.append(part.rank)
+    rd, rg, bounds = lattice_case(group, window)
+    steps = _lattice_steps(rd, rg, ydeg, bounds, [_relation_generators(rd, rg, 1, ydeg)])
+    ranks = [steps(margin).rank for margin in range(4)]
     assert ranks == sorted(ranks), ranks
-    assert 0 < ranks[-1] <= len(window_keys)
+    assert 0 < ranks[-1] <= len(steps.basis)
+
+
+def translates_restricted(rg, window_keys, points, family, ydeg):
+    """The part on the window of the span of every generator of the
+    family times x^lam y^b, for lam in points and b of the remaining
+    y-degree, by one restriction over every column the products hold."""
+    rank = len(points[0])
+    pin = {f"x{i+1}": (0, 0) for i in range(rank)}
+    grading = grading_for(rg, {n: (1, 0) for n in rg.names[rank:]})
+    index = {k: i for i, k in enumerate(window_keys)}
+    rows = []
+    for gen, (gdeg, _) in family:
+        for y in slice_monomials(rg, grading, (ydeg - gdeg, 0), pin):
+            for lam in points:
+                shift = MultiPoly.monomial(rg, tuple(lam) + y[rank:])
+                product = gen * shift
+                rows.append({index.setdefault(e, len(index)): c for e, c in product.terms.items()})
+    return restrict_to_columns(rows, range(len(window_keys)), len(index))
+
+
+def box(bounds, reach, m):
+    return list(itertools.product(*(range(lo - m * reach, hi + m * reach + 1) for lo, hi in bounds)))
+
+
+LATTICE_CROSS_CHECKS = [
+    ("ordinary", "GL2", 3, 2, (0, 3)),
+    ("ordinary", "B2", 1, 2, (-1, 1)),  # rank 18 at margin 0, 20 from margin 1 on
+    ("ordinary", "B2", 1, 2, (1, 3)),  # the same window translated
+    ("ordinary", "G2", 1, 1, (0, 1)),
+    ("ordinary", "GL3", 1, 2, (0, 1)),
+    ("roots", "GL2", 2, 2, (0, 2)),
+    ("roots", "B2", 1, 1, (-1, 1)),
+    ("roots", "G2", 1, 3, (0, 2)),
+    ("roots", "GL3", 1, 1, (-1, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,group,d,ydeg,window",
+    LATTICE_CROSS_CHECKS,
+    ids=[f"{k}-{g}-d{d}-y{y}-{w[0]}:{w[1]}" for k, g, d, y, w in LATTICE_CROSS_CHECKS],
+)
+def test_carried_margin_steps_match_restricting_every_translate(kind, group, d, ydeg, window):
+    # exact cross-check of the carried elimination against one restriction
+    # of all translates of the margin box, at every margin 0..3
+    rd, rg, bounds = lattice_case(group, window)
+    if kind == "ordinary":
+        families = [_relation_generators(rd, rg, d, ydeg)]
+    else:
+        families = _root_families(rd, rg, d, ydeg)
+    steps = _lattice_steps(rd, rg, ydeg, bounds, families)
+    window_keys = list(steps.basis.keys)
+    reach = max(max(abs(c) for c in cor) for cor in rd.coroots)
+    results, frozen = [], []
+    for m in range(4):
+        got = steps(m)
+        parts = [
+            translates_restricted(rg, window_keys, box(bounds, reach, m), family, ydeg)
+            for family in families
+        ]
+        expected = parts[0] if len(parts) == 1 else intersect_subspaces(*parts)
+        assert got.space == expected, m
+        results.append(got)
+        frozen.append([dict(row) for row in got.space.rows])
+    # a result handed out at margin m is a snapshot that later steps leave alone
+    assert [[dict(row) for row in r.space.rows] for r in results] == frozen
+    assert [r.margin for r in results] == [0, 1, 2, 3]
+    assert results[-1].rank > 0
+    if (group, window) == ("B2", (-1, 1)) and kind == "ordinary":
+        assert [r.rank for r in results] == [18, 20, 20, 20]
+
+
+@pytest.mark.parametrize("window", [(0, 3), (-5, -1)])
+def test_carried_flag_steps_match_restricting_every_translate(window):
+    lo, hi = window
+    steps = _flag_steps(window)
+    window_keys = [(a, w) for a in range(lo, hi + 1) for w in ("e", "s")]
+    assert steps.basis.keys == tuple(window_keys)
+    results, frozen = [], []
+    for m in range(4):
+        # the rows of x^a (1 - s) and x^a (1 - x) for every level a of the margin box
+        index = {k: i for i, k in enumerate(window_keys)}
+        rows = []
+        for a in range(lo - m, hi + m + 1):
+            for terms in (((a, "e"), (a, "s")), ((a, "e"), (a + 1, "e"))):
+                rows.append({index.setdefault(k, len(index)): c for k, c in zip(terms, (1, -1))})
+        expected = restrict_to_columns(rows, range(len(window_keys)), len(index))
+        results.append(steps(m))
+        assert results[-1].space == expected, m
+        frozen.append(results[-1].space.rows)
+    assert [r.space.rows for r in results] == frozen
+    assert results[-1].rank == len(window_keys) - 1
 
 
 @st.composite

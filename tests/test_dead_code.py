@@ -7,11 +7,14 @@ attributes in the Python files of src/, tests/ and perfbench/ (plus
 string constants that are exactly an identifier, which is how
 perfbench/tracer.py names what it wraps), and the code spans of
 README.md. Words in docstrings and prose do not count. A method counts
-as named only through an attribute access, a string constant or a
-README code span: a bare name (a local variable, or an unrelated
-function) of the same spelling does not reach it. Dunder methods are
-called by the language and are skipped, and `CALLED_ELSEWHERE` lists the
-methods that a library calls, with the reason.
+as named only through an attribute access, a README code span, the
+attribute argument of `getattr`, `hasattr` or `setattr`, or the
+attribute element of a `TARGETS` tuple (perfbench/tracer.py lists what
+it wraps as (owner, attribute, ...)): a bare name (a local variable, or
+an unrelated function) or any other string of the same spelling, such
+as a dict key, does not reach it. Dunder methods are called by the
+language and are skipped, and `CALLED_ELSEWHERE` lists the methods that
+a library calls, with the reason.
 
 A definition that only unit tests name fails too, unless `TEST_SURFACE`
 lists it with the reason it stays. A definition is reached when
@@ -79,15 +82,23 @@ def reference_key(qual: str) -> str:
     return "." + name if "." in qual else name
 
 
+# Calls whose second argument names an attribute.
+ATTRIBUTE_CALLS = {"getattr", "hasattr", "setattr"}
+
+
 def references(source: str) -> set[str]:
     """Identifiers a Python source refers to (not the ones it defines).
 
-    An attribute or an identifier string adds its name and "." + name,
-    which is what names a method; a bare name or an import adds only
-    the name.
+    An attribute adds its name and "." + name, which is what names a
+    method. An identifier string adds the name, and also "." + name as
+    the attribute argument of `getattr`, `hasattr` or `setattr` or as
+    the second element of a tuple in a `TARGETS` list. A bare name or an
+    import adds only the name.
     """
+    tree = ast.parse(source)
     names = set()
-    for node in ast.walk(ast.parse(source)):
+    attribute_strings = []
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -96,7 +107,20 @@ def references(source: str) -> set[str]:
             names.add(node.name.split(".")[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
-                names |= {node.value, "." + node.value}
+                names.add(node.value)
+        elif isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id in ATTRIBUTE_CALLS:
+                attribute_strings += node.args[1:2]
+        elif isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple)):
+            if any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+                attribute_strings += [
+                    item.elts[1]
+                    for item in node.value.elts
+                    if isinstance(item, ast.Tuple) and len(item.elts) > 1
+                ]
+    for arg in attribute_strings:
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+            names.add("." + arg.value)
     return names
 
 
@@ -201,10 +225,26 @@ def test_detector_names_a_method_only_through_an_attribute():
     # a local variable or an unrelated function of the same spelling
     bare = references("from m import A\ngo = 1\n\n\ndef go():\n    return A\n")
     assert unreferenced(method, bare) == ["A.go (m.py:2)"]
-    for reaching in (references("getattr(A(), 'go')\n"), markdown_references("call `A.go`")):
+    for reaching in (
+        references("getattr(A(), 'go')\n"),
+        references("hasattr(A, 'go')\n"),
+        references("TARGETS = [(A, 'go', 'a.go', None)]\n"),
+        markdown_references("call `A.go`"),
+    ):
         assert unreferenced(method, bare | reaching) == []
     # a top-level function is still named by a bare name
     assert unreferenced({"m.py": "def go():\n    pass\n"}, bare) == []
+
+
+def test_detector_does_not_reach_a_method_through_a_dict_key():
+    method = {"m.py": "class A:\n    def go(self):\n        pass\n"}
+    keyed = references("record = {'go': 1}\nrecord['go'] = 2\nprint(record.get('go'))\n")
+    assert unreferenced(method, keyed | {"A"}) == ["A.go (m.py:2)"]
+    # the string still names a top-level function of that spelling
+    assert unreferenced({"m.py": "def go():\n    pass\n"}, keyed) == []
+    # only the attribute element of a TARGETS tuple names a method
+    labels = references("TARGETS = [(A, 'stop', 'go', None)]\n")
+    assert unreferenced(method, labels | {"A"}) == ["A.go (m.py:2)"]
 
 
 def test_every_definition_is_named_somewhere():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkmslice.linalg import (
+    Restriction,
     SliceBasis,
     Subspace,
     intersect_subspaces,
@@ -69,7 +70,7 @@ def test_grassmann_dimension_identity(va, vb):
 @given(vectors)
 def test_kernel_rank_nullity(vecs):
     # kernel of u -> sum u_j vecs_j lives in Q^len(vecs)
-    kern = kernel_of_rows(vecs, NCOLS)
+    kern = kernel_of_rows(vecs)
     assert kern.rank == len(vecs) - span(vecs, NCOLS).rank
     for u in kern.rows:
         combo: dict = {}
@@ -216,7 +217,7 @@ def test_intersection_matches_fraction_reference(family):
 @given(rational_families())
 def test_kernel_matches_fraction_reference(family):
     ncols, (vecs,) = family
-    kern = kernel_of_rows(vecs, ncols)
+    kern = kernel_of_rows(vecs)
     columns = [{i: v[j] for i, v in enumerate(vecs) if j in v} for j in range(ncols)]
     rows, _ = ref_rref(ref_nullspace(columns, len(vecs)), len(vecs))
     assert kern.ncols == len(vecs)
@@ -354,7 +355,7 @@ def test_wide_dependent_rows_match_fraction_reference(family, data):
     rows, _ = ref_rref(ref_intersection(va, vb, ncols), ncols)
     assert as_fractions(meet.rows) == ref_sparse(rows)
 
-    kern = kernel_of_rows(va, ncols)
+    kern = kernel_of_rows(va)
     columns = [{i: v[j] for i, v in enumerate(va) if j in v} for j in range(ncols)]
     rows, _ = ref_rref(ref_nullspace(columns, len(va)), len(va))
     assert as_fractions(kern.rows) == ref_sparse(rows)
@@ -423,13 +424,13 @@ def test_crowded_restriction_matches_reference_in_any_order(family, data):
 @given(crowded_families(), st.data())
 def test_crowded_kernel_matches_reference_in_any_order(family, data):
     ncols, vecs = family
-    kern = kernel_of_rows(vecs, ncols)
+    kern = kernel_of_rows(vecs)
     columns = [{i: v[j] for i, v in enumerate(vecs) if j in v} for j in range(ncols)]
     rows, _ = ref_rref(ref_nullspace(columns, len(vecs)), len(vecs))
     assert as_fractions(kern.rows) == ref_sparse(rows)
     # the relations among shuffled rows are the same relations, permuted
     perm, order = shuffled(data, vecs)
-    back = [{order[i]: c for i, c in row.items()} for row in kernel_of_rows(perm, ncols).rows]
+    back = [{order[i]: c for i, c in row.items()} for row in kernel_of_rows(perm).rows]
     assert span(back, len(vecs)) == kern
 
 
@@ -445,3 +446,36 @@ def test_crowded_intersection_matches_reference_in_any_order(fa, fb, data):
     assert as_fractions(meet.rows) == ref_sparse(rows)
     sa, sb = span(shuffled(data, va)[0], ncols), span(shuffled(data, vb)[0], ncols)
     assert intersect_subspaces(sb, sa) == meet
+
+
+@st.composite
+def growing_batches(draw):
+    """(width, [(fresh, batch)]): batches of integer vectors, each of
+    which may hold every column seen so far and a few fresh ones."""
+    width = draw(st.integers(0, 3))
+    seen, batches = width, []
+    for _ in range(draw(st.integers(1, 4))):
+        fresh, seen = seen, seen + draw(st.integers(0, 3))
+        if not seen:
+            batches.append((fresh, []))
+            continue
+        vec = st.dictionaries(st.integers(0, seen - 1), entry.filter(bool), max_size=4)
+        batches.append((fresh, draw(st.lists(vec, max_size=6))))
+    return width, batches
+
+
+@settings(max_examples=200, deadline=None)
+@given(growing_batches())
+def test_carried_restriction_matches_restricting_everything(case):
+    # the carried part after each batch against one restriction of all vectors so far
+    width, batches = case
+    carried = Restriction(width)
+    added, snapshots = [], []
+    for fresh, batch in batches:
+        carried.extend([dict(v) for v in batch], fresh)
+        added += batch
+        ncols = max([width, *(j + 1 for v in added for j in v)])
+        assert carried.part == restrict_to_columns(added, range(width), ncols)
+        snapshots.append((carried.part.copy(), carried.part.rank))
+    # a copy taken after a batch is not changed by later ones
+    assert [s.rank for s, _ in snapshots] == [rank for _, rank in snapshots]
