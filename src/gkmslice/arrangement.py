@@ -23,9 +23,10 @@ Every other slice spanned by polynomial generators goes through
 intersection of their spans over one ambient basis: each generator
 times the monomials of the remaining degree, from one multiplier table
 that all families share, read off the ambient basis by shifting the
-generator's exponents. The rows go to one `linalg.meet` call, which
-intersects the spans. The pair ideal intersection is one family per
-pair; every other slice is a single family. The windowed slices read
+generator's exponents. Each family's rows are eliminated into one
+subspace, and `linalg.intersect_subspaces` intersects the spans when
+there are several. The pair ideal intersection is one family per pair;
+every other slice is a single family. The windowed slices read
 generator products the same way, one family per positive root for the
 root ideal intersection and one family of relations for the homology
 quotient. The rank-one flag module's generators are not polynomials,
@@ -49,7 +50,6 @@ from .linalg import (
     Subspace,
     intersect_subspaces,
     kernel_of_rows,
-    meet,
 )
 from .rationals import ONE, ZERO
 from .rings import Exp, Grading, MultiPoly, Ring, grading_for, ring, slice_monomials
@@ -80,7 +80,8 @@ def _xy_slice(n: int, deg: tuple[int, int]) -> tuple[Ring, Grading, SliceBasis]:
 
 @dataclass
 class SliceResult:
-    """One computed slice: ordered basis keys plus the row space."""
+    """One computed slice: ordered basis keys plus the row space; a
+    windowed slice also has its stabilization status and margin."""
 
     basis: SliceBasis
     space: Subspace
@@ -92,12 +93,28 @@ class SliceResult:
     def rank(self) -> int:
         return self.space.rank
 
+    @property
+    def ambient_dim(self) -> int:
+        return len(self.basis)
+
+    @property
+    def quotient_dim(self) -> int:
+        return len(self.basis) - self.space.rank
+
     def row_polys(self) -> list[MultiPoly]:
         return [self.basis.poly(self.ring, row) for row in self.space.rows]
 
-    def contains_poly(self, p: MultiPoly) -> bool:
-        vec = self.basis.vector_from_poly(p, strict=False)
-        return vec is not None and self.space.contains(vec)
+    def contains(self, element: Mapping) -> bool:
+        """Is the element, a basis key -> coefficient map such as a
+        polynomial's terms, in the row space? False when a key is
+        outside the basis."""
+        vec = {}
+        for key, c in element.items():
+            idx = self.basis.index.get(key)
+            if idx is None:
+                return False
+            vec[idx] = c
+        return self.space.contains(vec)
 
 
 # ---- slices spanned by generators ----
@@ -128,8 +145,9 @@ def _generated_slice(
     are cleared once, and a product is its integer terms with the
     exponents shifted by the monomial, so its row is read off the
     ambient index directly; every product must lie in the ambient basis
-    (KeyError otherwise). One `meet` call takes the families one at a
-    time and intersects their spans.
+    (KeyError otherwise). Each family's rows are eliminated into one
+    subspace in the order they are made; the spans of several families
+    are intersected.
     """
     multipliers: dict[tuple[int, int], list[Exp]] = {}
     index = ambient.index
@@ -148,7 +166,12 @@ def _generated_slice(
                     raise KeyError(f"product of {gen} and {m} outside slice basis")
                 yield dict(zip(cols, coeffs))
 
-    space = meet([rows(family) for family in families], range(len(ambient)), len(ambient))
+    parts = []
+    for family in families:
+        parts.append(Subspace(len(ambient)))
+        for row in rows(family):
+            parts[-1]._add(row)
+    space = parts[0] if len(parts) == 1 else intersect_subspaces(*parts)
     return SliceResult(ambient, space, rg)
 
 
@@ -751,9 +774,9 @@ def ordinary_homology_quotient_slice(
     steps = _lattice_steps(rd, rg, ydeg, bounds, [_relation_generators(rd, rg, d, ydeg)])
     sub = _stabilize(steps, margin0)
     return QuotientResult(
-        ambient_dim=len(sub.basis),
+        ambient_dim=sub.ambient_dim,
         submodule_rank=sub.rank,
-        quotient_dim=len(sub.basis) - sub.rank,
+        quotient_dim=sub.quotient_dim,
         status=sub.status,
         margin=sub.margin,
         submodule=sub,
@@ -761,25 +784,6 @@ def ordinary_homology_quotient_slice(
 
 
 # ---- rank-one affine flag module at t = 0 ----
-
-
-@dataclass
-class FlagModuleResult:
-    basis: SliceBasis  # keys (level, "e"/"s")
-    space: Subspace
-    ambient_dim: int
-    quotient_dim: int
-    status: str
-    margin: int | None
-
-    def contains(self, element: Mapping) -> bool:
-        vec = {}
-        for key, c in element.items():
-            idx = self.basis.index.get(key)
-            if idx is None:
-                return False
-            vec[idx] = c
-        return self.space.contains(vec)
 
 
 def _flag_steps(bounds: tuple[int, int]) -> _WindowSteps:
@@ -796,23 +800,14 @@ def _flag_steps(bounds: tuple[int, int]) -> _WindowSteps:
     return _WindowSteps(ring(["x"], laurent=["x"]), window_keys, [bounds], 1, [rows])
 
 
-def flag_rank1_module_slice(bounds: tuple[int, int], margin: int | None = None) -> FlagModuleResult:
+def flag_rank1_module_slice(bounds: tuple[int, int], margin: int | None = None) -> SliceResult:
     """Window slice of the span of {1 - s, 1 - x, y} inside the group algebra.
 
     Keys are (level, coset) with coset "e" or "s"; this is the y-degree
     zero layer, where the generators contribute x^m (1 - s) supported on
     {(m,e),(m,s)} and x^m (1 - x) supported on {(m,e),(m+1,e)}.
     """
-    margin0 = _first_margin(margin, 0)
-    sub = _stabilize(_flag_steps(bounds), margin0)
-    return FlagModuleResult(
-        basis=sub.basis,
-        space=sub.space,
-        ambient_dim=len(sub.basis),
-        quotient_dim=len(sub.basis) - sub.rank,
-        status=sub.status,
-        margin=sub.margin,
-    )
+    return _stabilize(_flag_steps(bounds), _first_margin(margin, 0))
 
 
 def flag_step_element(k: int) -> dict:

@@ -360,7 +360,7 @@ def cmd_ordinary_quotient(args) -> int:
     rows = [[result.ambient_dim, result.submodule_rank, result.quotient_dim, result.status]]
     human = [f"{result.status}: quotient dim {result.quotient_dim} "
              f"({result.ambient_dim} ambient, rank {result.submodule_rank})"]
-    ok = True if result.status in ("exact", "stabilized") else None
+    ok = None if result.status == "inconclusive" else True
     return report(args, ok, payload, header, rows, human)
 
 

@@ -24,19 +24,17 @@ entries, as in Bareiss 1968), through three routines:
   the other vectors leave on the first columns spans the answer. The
   pivots are dropped for good unless the caller asks for them.
 
-Two things use `_kernel`. `meet` intersects, over families of vectors,
-the part of each family's span on the kept columns: the kept columns
-are put first, one `_kernel` call per family makes the dropped columns
-the block, and for two or more families one more call over their
-echelon rows in a chained Zassenhaus layout intersects the parts.
-`restrict_to_columns` is one family and `intersect_subspaces` the last
-call alone. `kernel_of_rows` is one `_kernel` call on the rows, each
-tagged with an identity column in front of its own columns: what is 0
-on the rows' columns holds the relations among the rows in its tags.
-`Restriction` is a restriction carried across calls: it keeps the
-pivots that `_kernel` dropped, in elimination order, so that vectors
-added later are reduced by them and no vector added earlier is
-eliminated again. The margin steps of windowed slices grow through it.
+Four things use `_kernel`. `restrict_to_columns` is one call with the
+kept columns put first and the dropped ones after them as the block.
+`_intersect` is one call over the echelon rows of subspaces in a chained
+Zassenhaus layout, behind `intersect_subspaces`. `kernel_of_rows` is
+one call on the rows, each tagged with an identity column in front of
+its own columns: what is 0 on the rows' columns holds the relations
+among the rows in its tags. `Restriction` is a restriction carried
+across calls: it keeps the pivots that `_kernel` dropped, in
+elimination order, so that vectors added later are reduced by them and
+no vector added earlier is eliminated again. The margin steps of
+windowed slices grow through it.
 """
 
 from __future__ import annotations
@@ -63,28 +61,14 @@ class SliceBasis:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def vector(self, coeffs: dict) -> Row:
-        """Key->coefficient dict to a sparse vector; unknown keys are errors."""
-        out: Row = {}
-        for k, c in coeffs.items():
-            if c == 0:
-                continue
-            out[self.index[k]] = c
-        return out
-
-    def vector_from_poly(self, p: MultiPoly, strict: bool = True) -> Row | None:
-        """Polynomial to a vector over exponent keys.
-
-        strict=True errors when the support leaves the basis; strict=False
-        returns None instead (used by windowed membership tests).
-        """
+    def vector_from_poly(self, p: MultiPoly) -> Row:
+        """Polynomial to a vector over exponent keys; KeyError when its
+        support leaves the basis."""
         out: Row = {}
         for exp, c in p.terms.items():
             i = self.index.get(exp)
             if i is None:
-                if strict:
-                    raise KeyError(f"monomial {exp} outside slice basis")
-                return None
+                raise KeyError(f"monomial {exp} outside slice basis")
             out[i] = c
         return out
 
@@ -483,16 +467,14 @@ class Restriction:
 
 
 def _intersect(parts: Sequence[Subspace]) -> Subspace:
-    """The intersection of subspaces of one Q^width, from their echelon
-    rows: the first part itself when there is one, else one `_kernel`
-    call over a chained Zassenhaus layout. Columns 0..width-1 are the
-    result block, then k - 1 difference blocks of width columns. A row
-    of P_i goes into block i negated and, when i < k - 1, into block
-    i + 1. What vanishes on the difference blocks holds one element in
-    every part and leaves it in the result block.
+    """The intersection of two or more subspaces of one Q^width, from
+    their echelon rows: one `_kernel` call over a chained Zassenhaus
+    layout. Columns 0..width-1 are the result block, then k - 1
+    difference blocks of width columns. A row of P_i goes into block i
+    negated and, when i < k - 1, into block i + 1. What vanishes on the
+    difference blocks holds one element in every part and leaves it in
+    the result block.
     """
-    if len(parts) == 1:
-        return parts[0]
     width = parts[0].ncols
     end = len(parts) * width
 
@@ -509,34 +491,6 @@ def _intersect(parts: Sequence[Subspace]) -> Subspace:
     out = Subspace(width)
     _kernel(chained(), width, out._add)
     return out
-
-
-def meet(families: Iterable[Iterable[Row]], keep: Sequence[int], ncols: int) -> Subspace:
-    """The intersection over one or more families of vectors in Q^ncols
-    of the part of each family's span supported on `keep`, reindexed.
-
-    One `_kernel` call per family, with the kept columns ordered first
-    and the dropped ones after them as the block; each input row is
-    copied to integers in that order, and never changed. For two or
-    more families, `_intersect` then joins the parts.
-    """
-    keep_set = set(keep)
-    width = len(keep)
-    order = [0] * ncols
-    for i, j in enumerate([*keep, *(j for j in range(ncols) if j not in keep_set)]):
-        order[j] = i
-
-    def integer(family):
-        for vec in family:
-            if not all(type(c) is int for c in vec.values()):
-                vec = _integer(vec)[0]
-            yield {order[j]: c for j, c in vec.items()}
-
-    parts = []
-    for family in families:
-        parts.append(Subspace(width))
-        _kernel(integer(family), width, parts[-1]._add)
-    return _intersect(parts)
 
 
 def intersect_subspaces(*spaces: Subspace) -> Subspace:
@@ -570,5 +524,20 @@ def kernel_of_rows(rows: Sequence[Row]) -> Subspace:
 
 def restrict_to_columns(vectors: Iterable[Row], keep: Sequence[int], ncols: int) -> Subspace:
     """Elements of the span of `vectors` (in Q^ncols) supported on `keep`,
-    reindexed to keep."""
-    return meet([vectors], keep, ncols)
+    reindexed to keep.
+
+    One `_kernel` call, with the kept columns ordered first and the
+    dropped ones after them as the block; each input vector is copied to
+    integers in that order, and never changed.
+    """
+    keep_set = set(keep)
+    order = [0] * ncols
+    for i, j in enumerate([*keep, *(j for j in range(ncols) if j not in keep_set)]):
+        order[j] = i
+    out = Subspace(len(keep))
+    _kernel(
+        ({order[j]: c for j, c in _integer(vec)[0].items()} for vec in vectors),
+        len(keep),
+        out._add,
+    )
+    return out

@@ -394,8 +394,8 @@ Window = Mapping[str, tuple[int, int]]
 
 def slice_monomials(
     rg: Ring,
-    grading: Grading | None,
-    deg: tuple[int, int] | None,
+    grading: Grading,
+    deg: tuple[int, int],
     window: Window | None = None,
 ) -> list[Exp]:
     """Monomial basis of one graded slice, sorted canonically.
@@ -404,13 +404,10 @@ def slice_monomials(
     nonnegative and not both zero unless windowed); Laurent variables must
     be windowed. Windowed variables carrying nonzero weight must have a
     nonnegative lower bound, so remaining degree never goes negative.
-    With grading=None every variable needs a window (plain box).
     """
     window = dict(window or {})
     n = rg.nvars
-    if grading is None and deg is not None:
-        raise ValueError("degree given without a grading")
-    wts = grading.weights if grading is not None else ((0, 0),) * n
+    wts = grading.weights
     for i, name in enumerate(rg.names):
         wa, wb = wts[i]
         if wa < 0 or wb < 0:
@@ -426,18 +423,17 @@ def slice_monomials(
         else:
             if rg.laurent[i]:
                 raise ValueError(f"Laurent variable {name} needs a window")
-            if grading is None or (wa == 0 and wb == 0):
+            if wa == 0 and wb == 0:
                 raise ValueError(f"variable {name} is unbounded (no weight, no window)")
 
     out: list[Exp] = []
     exp = [0] * n
-    rem = deg if deg is not None else (0, 0)
 
     def rec(i: int, ra: int, rb: int):
-        if grading is not None and (ra < 0 or rb < 0):
+        if ra < 0 or rb < 0:
             return
         if i == n:
-            if grading is None or (ra == 0 and rb == 0):
+            if ra == 0 and rb == 0:
                 out.append(tuple(exp))
             return
         wa, wb = wts[i]
@@ -457,7 +453,7 @@ def slice_monomials(
             rec(i + 1, ra - wa * e, rb - wb * e)
         exp[i] = 0
 
-    rec(0, rem[0], rem[1])
+    rec(0, deg[0], deg[1])
     out.sort(key=monomial_key)
     return out
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from gkmslice import __version__, cli, curves
+from gkmslice import __version__, arrangement, cli, curves
 from gkmslice.arrangement import QuotientResult
 from gkmslice.gkm import class_to_json, flag_rank1_classes, perturb_numerator, sl2_classes
 from gkmslice.rationals import HAVE_GMPY2
@@ -118,6 +118,20 @@ def test_inconclusive_status_maps_to_exit_two(capsys, monkeypatch):
         ["ordinary-quotient", "--group", "GL2", "--window", "0:1", "--format", "human"]
     )
     capsys.readouterr()
+    assert code == 2
+
+
+def test_flag_rank1_inconclusive_maps_to_exit_two(capsys, monkeypatch):
+    real = arrangement.flag_rank1_module_slice
+
+    def fake_slice(bounds, margin=None):
+        result = real(bounds, margin)
+        result.status = "inconclusive"
+        return result
+
+    monkeypatch.setattr(cli.arrangement, "flag_rank1_module_slice", fake_slice)
+    code = cli.main(["flag-rank1", "--window", "0:3", "--format", "human"])
+    assert capsys.readouterr().out.startswith("inconclusive: quotient dim 1,")
     assert code == 2
 
 

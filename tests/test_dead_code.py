@@ -5,8 +5,10 @@ and fails on a top-level function or class, or a method, that nothing
 refers to but its own definition. References are the names and
 attributes in the Python files of src/, tests/ and perfbench/ (plus
 string constants that are exactly an identifier, which is how
-perfbench/tracer.py names what it wraps), and the code spans of
-README.md. Words in docstrings and prose do not count. A method counts
+perfbench/tracer.py names what it wraps), and the language-tagged code
+blocks and the inline code spans of README.md. Words in docstrings and
+prose do not count, nor do those of an untagged block such as the
+directory layout, even inside backticks there. A method counts
 as named only through an attribute access, a README code span, the
 attribute argument of `getattr`, `hasattr` or `setattr`, or the
 attribute element of a `TARGETS` tuple (perfbench/tracer.py lists what
@@ -47,7 +49,6 @@ REACHING = [
 # Definitions that only unit tests name, keyed "module.qualname", with
 # the reason each stays.
 TEST_SURFACE = {
-    "arrangement.SliceResult.contains_poly": "how the slice tests state ideal membership",
     "gkm.class_to_json": "writes the class files that the gkm-verify --classes-file tests read",
     "linalg.Subspace.pivots": "compared with the Fraction reference by the linalg property tests",
     "linalg.Subspace.reduce": "compared with the Fraction reference by the linalg property tests",
@@ -170,9 +171,11 @@ def unread_fields(package: dict[str, str], reads: set[str]) -> list[str]:
 
 
 def markdown_references(text: str) -> set[str]:
-    """Identifiers inside the code blocks and code spans of a Markdown file."""
-    spans = re.findall(r"```.*?```|`[^`\n]+`", text, flags=re.DOTALL)
-    words = {word for span in spans for word in re.findall(r"[A-Za-z_]\w*", span)}
+    """Identifiers inside the language-tagged code blocks and the inline
+    code spans of a Markdown file; an untagged block is prose."""
+    words = set()
+    for tag, block, span in re.findall(r"```(\w*)\n(.*?)```|`([^`\n]+)`", text, flags=re.DOTALL):
+        words.update(re.findall(r"[A-Za-z_]\w*", block if tag else span))
     return words | {"." + word for word in words}
 
 
@@ -245,6 +248,18 @@ def test_detector_does_not_reach_a_method_through_a_dict_key():
     # only the attribute element of a TARGETS tuple names a method
     labels = references("TARGETS = [(A, 'stop', 'go', None)]\n")
     assert unreferenced(method, labels | {"A"}) == ["A.go (m.py:2)"]
+
+
+def test_detector_does_not_reach_a_method_through_an_untagged_block():
+    method = {"m.py": "class A:\n    def vector(self):\n        pass\n"}
+    layout = markdown_references("```\nm.py  one pivot `vector` per row\n```\n")
+    assert unreferenced(method, layout | {"A"}) == ["A.vector (m.py:2)"]
+    for reaching in (
+        markdown_references("```python\nA().vector()\n```\n"),
+        markdown_references("```sh\npython -c 'A().vector()'\n```\n"),
+        markdown_references("```\nlayout\n```\n\ncall `A.vector` once"),
+    ):
+        assert unreferenced(method, reaching | {"A"}) == []
 
 
 def test_every_definition_is_named_somewhere():

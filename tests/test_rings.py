@@ -130,9 +130,11 @@ def test_slice_monomials_weighted():
 
 
 def test_slice_monomials_laurent_needs_window():
-    with pytest.raises(ValueError):
-        slice_monomials(LXY, None, None)
-    exps = slice_monomials(LXY, None, None, {"x": (-1, 0), "y": (0, 1)})
+    # the zero grading at degree (0, 0): a plain box over the windows
+    zero = grading_for(LXY, {})
+    with pytest.raises(ValueError, match="Laurent variable x needs a window"):
+        slice_monomials(LXY, zero, (0, 0), {"y": (0, 1)})
+    exps = slice_monomials(LXY, zero, (0, 0), {"x": (-1, 0), "y": (0, 1)})
     assert set(exps) == {(-1, 0), (-1, 1), (0, 0), (0, 1)}
     assert exps == sorted(exps, key=monomial_key)
 
