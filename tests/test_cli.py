@@ -486,13 +486,76 @@ REPORT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("command", list(REPORT_DIGESTS))
-def test_report_stdout_and_exit_code_are_pinned(capsys, command):
-    expected_code, digests = REPORT_DIGESTS[command]
+# The same for the relation quotients at k = 2 and at non-unit pairings:
+# the curve quotient at order 12 and the lattice quotient of SL3, A1xA1
+# and B2.
+RELATION_DIGESTS = {
+    "conjecture-check --n 2 --d 1 --order 12": (
+        0,
+        {
+            "json": "c6925e2cdc2284f2b25353d740b2175a857676b8167d888c9870a4dcb50e0c03",
+            "csv": "0cf9089b9d3efc028a31403863e26eee7e728fdde53e6c7c03766e46d190884d",
+            "human": "b16cc5cdaf5820174b6454feb8b547345dfd695494709ab20dbdab2d4605db1a",
+        },
+    ),
+    "conjecture-check --n 3 --d 1 --order 12": (
+        0,
+        {
+            "json": "55cded48acb925ddc231529bc7dece108157296b3bd144f6c093d2e1763b1713",
+            "csv": "77a747493e615fb584fd9506c717f3d0a2c88038392ffbb8d7a192e25eef87dd",
+            "human": "17ab34ffc116a9e0e62a9d73a419fa3c014ed1f17f2aa292b098812aa6baf64a",
+        },
+    ),
+    "conjecture-check --n 2 --d 2 --order 12": (
+        0,
+        {
+            "json": "12987da7c47536fe0ff13e8447948d212dcb7b035f2ad4981a35ab5a396a8def",
+            "csv": "a42e33e9430cdd003e92901a938929fa163b23a45590959df83375ad0552272a",
+            "human": "ed612c4f0ac8c825c0035824591a05e813ee365429e177f7a9ad13f9073ad7b7",
+        },
+    ),
+    "ordinary-quotient --group SL3 --ydeg 2 --window 0:1": (
+        0,
+        {
+            "json": "534a3410a79f6614e397fff7619ba4063321613d121cdfeab98fa12262d0108c",
+            "csv": "69d6250df73804b6a9823915fe685f754ca75d93bc3f98a72ea367819b265bd7",
+            "human": "c69b94776e4c7391b1f728a7a9812bab47b262e31127af67cd4d5f7ea28acf89",
+        },
+    ),
+    "ordinary-quotient --group A1xA1 --d 2 --ydeg 3 --window 0:2": (
+        0,
+        {
+            "json": "fb60ec412da8c311191c3452eaf08d0087f915f88b6fd953ee402025486285e0",
+            "csv": "32ff8767715b7fad0f481e0f816a2d4288c6c5cd0798085f50ac7fb706ae3ee8",
+            "human": "e8ea2cac39e32347878a9a35bc8fffd48f61743a00053fbd5f1731f78bdbfb17",
+        },
+    ),
+    "ordinary-quotient --group B2 --d 2 --ydeg 3 --window 0:1": (
+        0,
+        {
+            "json": "710b4412610ea7de74908c6db673ab34f2d5a9368275b6db285b72cf1827b5a2",
+            "csv": "55fa64dd00e4bdbb990b86203135281564d5b2af6aa662958b26eccc03c4b7f3",
+            "human": "765580ce93d90d93145d3630d0e9b7a9dbf2c72a998a597e7e6c107275f0cc02",
+        },
+    ),
+}
+
+
+def _assert_pinned(capsys, command, expected_code, digests):
     for fmt, expected in digests.items():
         code, out = run_cli(capsys, command.split() + ["--format", fmt])
         assert code == expected_code, (command, fmt)
         assert hashlib.sha256(out.encode()).hexdigest() == expected, (command, fmt)
+
+
+@pytest.mark.parametrize("command", list(REPORT_DIGESTS))
+def test_report_stdout_and_exit_code_are_pinned(capsys, command):
+    _assert_pinned(capsys, command, *REPORT_DIGESTS[command])
+
+
+@pytest.mark.parametrize("command", list(RELATION_DIGESTS))
+def test_relation_stdout_and_exit_code_are_pinned(capsys, command):
+    _assert_pinned(capsys, command, *RELATION_DIGESTS[command])
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "human", "dot"])
