@@ -18,6 +18,13 @@ is eliminated again. Columns are numbered as products first appear,
 the window's monomials first. Ranks are monotone in the margin, and
 results carry a stabilization status.
 
+The homology quotient and the curve quotient of `curves` have relations
+of one form: f^k K with K in ker(D^k), 1 <= k <= d, for a factor f and
+a derivation D per root, (1 - x^coroot, d_alpha) per positive root here
+and (x_i - x_j, d/dy_i - d/dy_j) per pair i < j there.
+`_derivation_relations` builds both, and `derivation_kernel` writes
+ker(D^k) down in closed form instead of solving for it.
+
 Every other slice spanned by polynomial generators goes through
 `_generated_slice`. It takes generator families and builds the
 intersection of their spans over one ambient basis: each generator
@@ -38,9 +45,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import reduce
 from math import lcm
-from operator import add
-from typing import Callable, Iterable, Mapping, Sequence
+from operator import add, mul
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .gkm import y_names
 from .linalg import (
@@ -695,53 +703,55 @@ def jd_root_slice(
 # ---- homology quotient by derivation kernels ----
 
 
-def _derivation_kernel(
+def derivation_kernel(
     rg: Ring, ynames: Sequence[str], coeffs: Mapping[str, int], k: int, ydeg: int
 ) -> list[MultiPoly]:
-    """Basis of ker(D^k) on the degree-ydeg polynomials in ynames.
+    """Basis of ker(D^k) on the degree-ydeg polynomials in ynames, with
+    integer coefficients.
 
-    D = sum of coeffs[name] * d/d(name); every other variable has
-    exponent 0 in the domain.
+    D = sum of coeffs[name] * d/d(name) with integer coefficients. Let v
+    be the first name with c_v != 0 and w_n = c_v y_n - c_n y_v for the
+    other names. Then D w_n = 0 and D y_v = c_v, and (y_v, w) are
+    coordinates over Q, in which D = c_v d/d(y_v). Writing f = sum over a
+    of y_v^a g_a(w), D^k f = 0 exactly when g_a = 0 for every a >= k, so
+    the products y_v^a prod w_n^(b_n) with a < k and a + |b| = ydeg span
+    the kernel; they are distinct monomials in (y_v, w), so they are a
+    basis. A D with every coefficient 0 raises ValueError.
     """
-    ygrading = grading_for(rg, {n: (1, 0) for n in ynames})
-    pin = {n: (0, 0) for n in rg.names if n not in ynames}
-    dom_keys = slice_monomials(rg, ygrading, (ydeg, 0), pin)
-    if ydeg < k:
-        return [MultiPoly.monomial(rg, e) for e in dom_keys]
-    codomain = SliceBasis(slice_monomials(rg, ygrading, (ydeg - k, 0), pin))
+    v = next((n for n in ynames if coeffs.get(n)), None)
+    if v is None:
+        raise ValueError("derivation has every coefficient 0")
+    cv, yv = coeffs[v], MultiPoly.gen(rg, v)
+    ws = [MultiPoly.gen(rg, n) * cv - yv * coeffs.get(n, 0) for n in ynames if n != v]
+    return [
+        reduce(mul, combo, yv**a)
+        for a in range(min(k, ydeg + 1))
+        for combo in itertools.combinations_with_replacement(ws, ydeg - a)
+    ]
 
-    def apply(p: MultiPoly) -> MultiPoly:
-        out = MultiPoly.zero(rg)
-        for n, c in coeffs.items():
-            if c:
-                out = out + p.derivative(n) * c
-        return out
 
-    rows = []
-    for e in dom_keys:
-        p = MultiPoly.monomial(rg, e)
-        for _ in range(k):
-            p = apply(p)
-        rows.append(codomain.vector_from_poly(p))
-    kern = kernel_of_rows(rows)
-    domain = SliceBasis(dom_keys)
-    return [domain.poly(rg, row) for row in kern.rows]
+def _derivation_relations(
+    rg: Ring, ynames: Sequence[str], roots: Iterable, kmax: int, ydeg: int
+) -> Iterator[tuple[int, MultiPoly]]:
+    """(k, f^k K) for each (factor f, coefficients of D) in roots, each
+    1 <= k <= kmax and each K in the `derivation_kernel` basis of
+    ker(D^k) in y-degree ydeg."""
+    for factor, coeffs in roots:
+        for k in range(1, kmax + 1):
+            power = factor**k
+            for K in derivation_kernel(rg, ynames, coeffs, k, ydeg):
+                yield k, power * K
 
 
 def _relation_generators(rd: RootDatum, rg: Ring, d: int, ydeg: int) -> list:
     """The relations (1 - x^coroot)^k K, K in ker(d_alpha^k) of y-degree
     ydeg, over positive roots and 1 <= k <= d."""
     ynames = y_names(rd.yrank)
-    units = [tuple(1 if a == i else 0 for a in range(rd.yrank)) for i in range(rd.yrank)]
-    generators = []
-    for i in range(rd.npos):
-        d_alpha = {n: rd.pair_coroot(u, rd.coroots[i]) for n, u in zip(ynames, units)}
-        one_minus = MultiPoly.one(rg) - coroot_monomial(rd, rg, i)
-        for k in range(1, d + 1):
-            shell = one_minus**k
-            for K in _derivation_kernel(rg, ynames, d_alpha, k, ydeg):
-                generators.append((shell * K, (ydeg, 0)))
-    return generators
+    roots = []
+    for i, cor in enumerate(rd.coroots):
+        d_alpha = {n: sum(p * c for p, c in zip(row, cor)) for n, row in zip(ynames, rd.pairing)}
+        roots.append((MultiPoly.one(rg) - coroot_monomial(rd, rg, i), d_alpha))
+    return [(rel, (ydeg, 0)) for _, rel in _derivation_relations(rg, ynames, roots, d, ydeg)]
 
 
 @dataclass

@@ -14,12 +14,13 @@ x^n = y^(dn) with n branches, its torus link T(n, dn), and the
 conjecture pair (n, d) of GL_n with gamma = z t^d.
 
 The conjectural algebraic side is the quotient of Q[x, y] by
-sum over pairs and 1 <= k <= d of (x_i - x_j)^k ker(d_i - d_j)^k. Its
-slices are computed in the ordinary bigrading (x-degree, y-degree). The
-curve bigrading deg x = (1, 0), deg y = (1, 2) applies only when the
-slice dimensions are compared with a series under L -> t^2: the curve
-slice (q, t) is the ordinary slice (q - t/2, t/2), empty when t is odd
-or t > 2q.
+sum over pairs and 1 <= k <= d of (x_i - x_j)^k ker(d_i - d_j)^k, whose
+relations `arrangement._derivation_relations` builds as it does those of the
+lattice homology quotient. Its slices are computed in the ordinary
+bigrading (x-degree, y-degree). The curve bigrading deg x = (1, 0),
+deg y = (1, 2) applies only when the slice dimensions are compared with
+a series under L -> t^2: the curve slice (q, t) is the ordinary slice
+(q - t/2, t/2), empty when t is odd or t > 2q.
 """
 
 from __future__ import annotations
@@ -28,7 +29,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .arrangement import _derivation_kernel, _generated_slice, _xy_slice, xy_ring
+from .arrangement import (
+    _derivation_relations,
+    _generated_slice,
+    _xy_slice,
+    derivation_kernel,
+    xy_ring,
+)
 from .linalg import Subspace
 from .rationals import rat
 from .rings import MultiPoly, Ring, ring
@@ -259,22 +266,20 @@ def knot_compare(name: str) -> KnotCompareReport:
 
 def pair_diff_kernel(n: int, i: int, j: int, k: int, ydeg: int) -> list[MultiPoly]:
     """Basis of ker (d/dy_i - d/dy_j)^k on degree-ydeg polynomials in y."""
-    ynames = [f"y{a+1}" for a in range(n)]
-    return _derivation_kernel(xy_ring(n), ynames, {f"y{i}": 1, f"y{j}": -1}, k, ydeg)
+    rg = xy_ring(n)
+    return derivation_kernel(rg, rg.names[n:], {f"y{i}": 1, f"y{j}": -1}, k, ydeg)
 
 
 def _relation_family(n: int, d: int, ydeg: int, xmax: int) -> list:
     """Relation generators (x_i - x_j)^k K of y-degree ydeg and x-degree
-    k <= xmax, K running over pair_diff_kernel(n, i, j, k, ydeg)."""
+    k <= min(d, xmax), K in ker(d/dy_i - d/dy_j)^k, over pairs i < j."""
     rg = xy_ring(n)
-    family = []
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        xi, xj = MultiPoly.gen(rg, f"x{i}"), MultiPoly.gen(rg, f"x{j}")
-        for k in range(1, min(d, xmax) + 1):
-            shell = (xi - xj) ** k
-            for K in pair_diff_kernel(n, i, j, k, ydeg):
-                family.append((shell * K, (k, ydeg)))
-    return family
+    pairs = [
+        (MultiPoly.gen(rg, f"x{i}") - MultiPoly.gen(rg, f"x{j}"), {f"y{i}": 1, f"y{j}": -1})
+        for i, j in itertools.combinations(range(1, n + 1), 2)
+    ]
+    relations = _derivation_relations(rg, rg.names[n:], pairs, min(d, xmax), ydeg)
+    return [(rel, (k, ydeg)) for k, rel in relations]
 
 
 def _relation_slice(n: int, deg: tuple[int, int], family: list) -> Subspace:

@@ -245,8 +245,7 @@ class MultiPoly:
         """Replace variables by polynomial images.
 
         Variables missing from `images` must exist (same name) in the target
-        ring. Negative exponents require the image to be a single invertible
-        term.
+        ring. A negative exponent raises ValueError, as `**` does.
         """
         img: list[MultiPoly] = []
         for name in self.ring.names:
@@ -263,7 +262,7 @@ class MultiPoly:
             for i, e in enumerate(exp):
                 if e == 0:
                     continue
-                term = term * _pow_signed(img[i], e)
+                term = term * img[i] ** e
             result = result + term
         return result
 
@@ -329,16 +328,6 @@ class MultiPoly:
         return text.replace("+ -", "- ")
 
     __repr__ = __str__
-
-
-def _pow_signed(p: MultiPoly, e: int) -> MultiPoly:
-    if e >= 0:
-        return p**e
-    if len(p.terms) != 1:
-        raise ValueError("negative exponent needs a single-term image")
-    (exp, c), = p.terms.items()
-    new = tuple(x * e for x in exp)
-    return MultiPoly(p.ring, {new: rat(c) ** e})
 
 
 def poly_divide_exact(a: MultiPoly, b: MultiPoly) -> MultiPoly | None:

@@ -15,6 +15,7 @@ for every positive root (checked in the test suite).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .rings import MultiPoly, Ring
@@ -38,12 +39,7 @@ class RootDatum:
 
     def pair(self, root_index: int, lam: IntVec) -> int:
         """<alpha_i, lam> for a lattice point lam."""
-        alpha = self.roots[root_index]
-        return sum(
-            alpha[i] * self.pairing[i][j] * lam[j]
-            for i in range(self.yrank)
-            for j in range(self.rank)
-        )
+        return self.pair_coroot(self.roots[root_index], lam)
 
     def pair_coroot(self, yvec: IntVec, coroot: IntVec) -> int:
         """<beta, gamma_coroot> for arbitrary integer vectors in each basis."""
@@ -233,15 +229,14 @@ def root_datum(label: str, n: int | None = None) -> RootDatum:
         key = f"{key}{n}"
     if key in _FIXED:
         return _FIXED[key]
-    if key.startswith("GL"):
-        size = int(key[2:])
+    match = re.fullmatch(r"(GL|SL)([+-]?\d+)", key)
+    if match is None:
+        raise ValueError(f"unknown root datum label {label!r}")
+    kind, size = match[1], int(match[2])
+    if kind == "GL":
         if not 1 <= size <= 4:
             raise ValueError("GL size out of range (1..4)")
         return _gl(size)
-    if key.startswith("SL"):
-        size = int(key[2:])
-        if not 2 <= size <= 4:
-            raise ValueError("SL size out of range (2..4)")
-        return _sl(size)
-    raise ValueError(f"unknown root datum label {label!r}")
-
+    if not 2 <= size <= 4:
+        raise ValueError("SL size out of range (2..4)")
+    return _sl(size)

@@ -16,6 +16,7 @@ from gkmslice.arrangement import (
     alternant,
     alternant_slice,
     catalan_quotient,
+    derivation_kernel,
     flag_pair_element,
     flag_rank1_module_slice,
     flag_step_element,
@@ -31,7 +32,14 @@ from gkmslice.arrangement import (
     vanishing_slice,
     xy_ring,
 )
-from gkmslice.linalg import SliceBasis, intersect_subspaces, restrict_to_columns
+from gkmslice.gkm import y_names
+from gkmslice.linalg import (
+    SliceBasis,
+    Subspace,
+    intersect_subspaces,
+    kernel_of_rows,
+    restrict_to_columns,
+)
 from gkmslice.rings import MultiPoly, grading_for, ring, slice_monomials
 from gkmslice.rootdata import root_datum
 
@@ -404,3 +412,63 @@ def test_stabilize_reports_inconclusive_growth():
         return SliceResult(basis, span([{0: rat(1)}], 4), xy_ring(1), margin=m)
 
     assert _stabilize(constant, 1).status == "stabilized"
+
+
+# ---- ker(D^k) in closed form against the solved kernel ----
+
+
+def solved_kernel(rg, ynames, coeffs, k, ydeg):
+    """ker(D^k) on the degree-ydeg polynomials in ynames, solved: each
+    monomial differentiated k times, then the kernel of those rows; with
+    the domain's basis."""
+    grading = grading_for(rg, {n: (1, 0) for n in ynames})
+    pin = {n: (0, 0) for n in rg.names if n not in ynames}
+    domain = SliceBasis(slice_monomials(rg, grading, (ydeg, 0), pin))
+    codomain = SliceBasis(slice_monomials(rg, grading, (ydeg - k, 0), pin) if ydeg >= k else [])
+    rows = []
+    for e in domain.keys:
+        p = MultiPoly.monomial(rg, e)
+        for _ in range(k):
+            p = sum((p.derivative(n) * c for n, c in coeffs.items()), MultiPoly.zero(rg))
+        rows.append(codomain.vector_from_poly(p))
+    return domain, kernel_of_rows(rows)
+
+
+def derivation_cases(group):
+    """(ring, y names, coefficients of D) per positive root of a root
+    datum (d_alpha), or per pair of GL_n on the diagonal ring."""
+    if group.startswith("pairs"):
+        n = int(group[-1])
+        rg = xy_ring(n)
+        return [
+            (rg, rg.names[n:], {f"y{i}": 1, f"y{j}": -1})
+            for i, j in itertools.combinations(range(1, n + 1), 2)
+        ]
+    rd = root_datum(group)
+    rg, ynames = lattice_ring(rd), y_names(rd.yrank)
+    unit = [tuple(int(a == b) for b in range(rd.yrank)) for a in range(rd.yrank)]
+    return [
+        (rg, ynames, {n: rd.pair_coroot(u, cor) for n, u in zip(ynames, unit)})
+        for cor in rd.coroots
+    ]
+
+
+@pytest.mark.parametrize(
+    "group", ["GL2", "GL3", "GL4", "SL3", "A1xA1", "A2", "B2", "G2", "pairs2", "pairs3", "pairs4"]
+)
+def test_closed_form_derivation_kernel_is_the_solved_kernel(group):
+    for rg, ynames, coeffs in derivation_cases(group):
+        for k, ydeg in itertools.product(range(1, 4), range(5)):
+            domain, solved = solved_kernel(rg, ynames, coeffs, k, ydeg)
+            basis = derivation_kernel(rg, ynames, coeffs, k, ydeg)
+            closed = Subspace(len(domain))
+            closed.extend(domain.vector_from_poly(K) for K in basis)
+            assert len(basis) == closed.rank == solved.rank, (coeffs, k, ydeg)
+            assert closed == solved, (coeffs, k, ydeg)
+            assert all(c.denominator == 1 for K in basis for c in K.terms.values())
+
+
+def test_derivation_kernel_rejects_the_zero_derivation():
+    rg = xy_ring(2)
+    with pytest.raises(ValueError, match="every coefficient 0"):
+        derivation_kernel(rg, rg.names[2:], {"y1": 0, "y2": 0}, 1, 2)

@@ -9,6 +9,7 @@ from gkmslice import __version__, arrangement, cli, curves
 from gkmslice.arrangement import QuotientResult
 from gkmslice.gkm import class_to_json, flag_rank1_classes, perturb_numerator, sl2_classes
 from gkmslice.rationals import HAVE_GMPY2
+from gkmslice.rootdata import root_datum
 from test_gkm import _b2_graph, _b2_line_class
 
 
@@ -256,6 +257,14 @@ def test_out_of_domain_arguments_exit_64(capsys, argv):
     assert captured.err.startswith("gkmslice: error: ")
     if argv[0] == "gkm-verify" and "--d" in argv and argv[argv.index("--d") + 1] == "0":
         assert "d must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("label", ["GL", "SL", "SLx", "GLx"])
+def test_group_label_without_an_integer_size_is_named_in_the_error(capsys, label):
+    with pytest.raises(ValueError, match=f"^unknown root datum label '{label}'$"):
+        root_datum(label)
+    assert cli.main(["gkm-graph", "--group", label]) == 64
+    assert capsys.readouterr().err == f"gkmslice: error: unknown root datum label '{label}'\n"
 
 
 # sha256 of stdout in the json, csv and human formats. The curve side's

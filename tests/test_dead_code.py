@@ -22,7 +22,10 @@ A definition that only unit tests name fails too, unless `TEST_SURFACE`
 lists it with the reason it stays. A definition is reached when
 something in src/, perfbench/, tests/test_acceptance.py or the code
 spans of README.md names it; a listed name that is reached, or no
-longer named by the unit tests, fails as a stale entry.
+longer named by the unit tests, fails as a stale entry. In the same
+way a definition that only perfbench/ (and perhaps unit tests) names,
+and so nothing in src/, tests/test_acceptance.py or README.md, fails
+unless `BENCHMARK_ONLY` lists it with the reason.
 
 It also fails on a field of a `@dataclass` that no Python source under
 src/, tests/ or perfbench/ reads as an attribute: a field that is set
@@ -45,6 +48,7 @@ REACHING = [
     for path in SOURCES
     if path.parent.name != "tests" or path.name == "test_acceptance.py"
 ]
+BENCHMARK = [path for path in SOURCES if path.is_relative_to(ROOT / "perfbench")]
 
 # Definitions that only unit tests name, keyed "module.qualname", with
 # the reason each stays.
@@ -54,6 +58,20 @@ TEST_SURFACE = {
     "linalg.Subspace.reduce": "compared with the Fraction reference by the linalg property tests",
     "rootdata.mat_vec": "checks that the hand-typed _FIXED reflections permute the roots",
     "rootdata.weyl_elements": "checks the Weyl group orders of the hand-typed _FIXED tables",
+}
+
+# Definitions that only perfbench/ names besides unit tests, keyed
+# "module.qualname", with the reason each stays. perfbench/ is the
+# benchmark's frozen harness, so these go when the harness stops naming
+# them, not before.
+BENCHMARK_ONLY = {
+    "arrangement.pair_ideal_slice": "the tracer wraps it; one pair ideal is a unit test reference",
+    "cli.worker_count": "the diagonal workload reads the jd-series pool width through it",
+    "curves.pair_diff_kernel": "the tracer wraps it; the curve relations call derivation_kernel",
+    "linalg.restrict_to_columns": "the tracer wraps it; the windowed slice tests' reference",
+    "linalg.span": "the tracer wraps it; the linalg tests' reference for a span",
+    "linalg.sum_subspaces": "the tracer wraps it; the linalg tests check it",
+    "rings.MultiPoly.derivative": "the tracer wraps it; the reference solve of derivation_kernel",
 }
 
 # Methods that nothing here names because a library calls them, keyed
@@ -190,27 +208,36 @@ def unreferenced(package: dict[str, str], used: set[str], exempt=()) -> list[str
     )
 
 
-def unlisted_test_surface(
-    package: dict[str, str], reached: set[str], tested: set[str], surface: dict[str, str]
+def unlisted(
+    package: dict[str, str], reached: set[str], named: set[str], listing: dict[str, str], label: str
 ) -> list[str]:
-    """Test-only definitions missing from surface, then stale surface entries.
+    """Definitions that named names but reached does not, missing from
+    listing, then stale listing entries; label is the listing's name.
 
     package is keyed by file name; a definition is "module.qualname".
     """
-    only_tested = tested - reached
-    test_only = {
+    only_named = named - reached
+    found = {
         f"{Path(path).stem}.{qual}": line
         for path, source in package.items()
         for qual, line in qualified_definitions(source)
-        if reference_key(qual) in only_tested
+        if reference_key(qual) in only_named
     }
-    unlisted = sorted(
-        f"{key} (line {line}; list it in TEST_SURFACE or delete it)"
-        for key, line in test_only.items()
-        if key not in surface
+    missing = sorted(
+        f"{key} (line {line}; list it in {label} or delete it)"
+        for key, line in found.items()
+        if key not in listing
     )
-    stale = sorted(f"{key} (stale TEST_SURFACE entry)" for key in surface if key not in test_only)
-    return unlisted + stale
+    stale = sorted(f"{key} (stale {label} entry)" for key in listing if key not in found)
+    return missing + stale
+
+
+def references_of(paths, readme: bool = False) -> set[str]:
+    """The references of the Python files, with README.md's if asked."""
+    used = markdown_references((ROOT / "README.md").read_text()) if readme else set()
+    for path in paths:
+        used |= references(path.read_text())
+    return used
 
 
 def test_detector_flags_an_unnamed_function():
@@ -284,25 +311,60 @@ def test_detector_flags_a_definition_only_unit_tests_name():
     }
     reached = references("from m import shipped, A\nshipped()\nA()\n")
     tested = references("from m import probe, A\nprobe()\nA().listed()\nshipped()\n")
-    assert unlisted_test_surface(package, reached, tested, {"m.A.listed": "why"}) == [
+    assert unlisted(package, reached, tested, {"m.A.listed": "why"}, "TEST_SURFACE") == [
         "m.probe (line 5; list it in TEST_SURFACE or delete it)"
     ]
     surface = {"m.A.listed": "why", "m.probe": "why", "m.shipped": "why", "m.gone": "why"}
-    assert unlisted_test_surface(package, reached, tested, surface) == [
+    assert unlisted(package, reached, tested, surface, "TEST_SURFACE") == [
         "m.gone (stale TEST_SURFACE entry)",
         "m.shipped (stale TEST_SURFACE entry)",
     ]
 
 
+def test_detector_flags_a_definition_only_the_benchmark_names():
+    package = {
+        "m.py": "def shipped():\n    pass\n\n\ndef traced():\n    pass\n\n\n"
+        "class A:\n    def wrapped(self):\n        pass\n"
+    }
+    # the library calls shipped; the harness wraps traced and A.wrapped,
+    # which a unit test also calls
+    library = references("from m import shipped, A\nshipped()\nA()\n")
+    harness = references(
+        "from m import A, shipped, traced\n"
+        "TARGETS = [(m, 'traced', 'm.traced', None), (A, 'wrapped', 'm.A.wrapped', None)]\n"
+    )
+    unit = references("from m import A\nA().wrapped()\n")
+    assert unlisted(package, library, harness, {"m.traced": "why"}, "BENCHMARK_ONLY") == [
+        "m.A.wrapped (line 10; list it in BENCHMARK_ONLY or delete it)"
+    ]
+    listing = {"m.traced": "why", "m.A.wrapped": "why", "m.shipped": "why"}
+    assert unlisted(package, library, harness, listing, "BENCHMARK_ONLY") == [
+        "m.shipped (stale BENCHMARK_ONLY entry)"
+    ]
+    # the harness reaches A.wrapped, so the unit test that calls it needs
+    # no TEST_SURFACE entry
+    assert unlisted(package, library | harness, unit, {}, "TEST_SURFACE") == []
+    # a library call does: the entry goes stale
+    library |= references("A().wrapped()\nfrom m import traced\ntraced()\n")
+    assert unlisted(package, library, harness, listing, "BENCHMARK_ONLY") == [
+        "m.A.wrapped (stale BENCHMARK_ONLY entry)",
+        "m.shipped (stale BENCHMARK_ONLY entry)",
+        "m.traced (stale BENCHMARK_ONLY entry)",
+    ]
+
+
 def test_only_unit_tests_name_just_the_listed_surface():
-    reached = markdown_references((ROOT / "README.md").read_text())
-    for path in REACHING:
-        reached |= references(path.read_text())
-    tested = set()
-    for path in set(SOURCES) - set(REACHING):
-        tested |= references(path.read_text())
+    reached = references_of(REACHING, readme=True)
+    tested = references_of(set(SOURCES) - set(REACHING))
     package = {path.name: path.read_text() for path in PACKAGE}
-    assert unlisted_test_surface(package, reached, tested, TEST_SURFACE) == []
+    assert unlisted(package, reached, tested, TEST_SURFACE, "TEST_SURFACE") == []
+
+
+def test_only_the_benchmark_names_just_the_listed_entries():
+    reached = references_of(set(REACHING) - set(BENCHMARK), readme=True)
+    benchmark = references_of(BENCHMARK)
+    package = {path.name: path.read_text() for path in PACKAGE}
+    assert unlisted(package, reached, benchmark, BENCHMARK_ONLY, "BENCHMARK_ONLY") == []
 
 
 def test_detector_flags_an_unread_dataclass_field():
