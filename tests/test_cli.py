@@ -492,6 +492,49 @@ REPORT_DIGESTS = {
             "human": "ba7c539204a88720dd787356baca8ce95b9a73f82559cec7a9b3326ddeed136e",
         },
     ),
+    # The slice tables that jd-series and catalan read, by both methods.
+    "jd-series --n 3 --d 2 --maxdeg 8": (
+        0,
+        {
+            "json": "430cdcceb08ce61b7ad2ca45f35b940ccc03d85444eaff9ff7ac9bc7b5ec6e3d",
+            "csv": "bf8e5cdc11028483b6a25c83bf8e3e7d3bff14313eee8b1ecb67757cfe6e920d",
+        },
+    ),
+    "jd-series --n 3 --d 2 --maxdeg 8 --method vanishing": (
+        0,
+        {
+            "json": "b002c2db600bc70cf252765111878d0f59db046106ff5de4536b48d6804ded4f",
+            "csv": "bf8e5cdc11028483b6a25c83bf8e3e7d3bff14313eee8b1ecb67757cfe6e920d",
+        },
+    ),
+    "jd-series --n 4 --d 1 --maxdeg 5": (
+        0,
+        {
+            "json": "e036353970db606f2062fa31f269b6bd17b68a7093ad33010498f1b6e5c84512",
+            "csv": "fe36fcaf4aaf3b6063f138791684113af3451a4a04da0054ab7899528d913c94",
+        },
+    ),
+    "jd-series --n 2 --d 0 --maxdeg 3": (
+        0,
+        {
+            "json": "6a776ab0c9c5c0231adc0a0cf7b48d9924dc96b46b2567acc64fabb15e262230",
+            "csv": "005787fd8715d5690da40a93bf631b98c6f5cafb4d90381f16ffa5c10644bfdc",
+        },
+    ),
+    "catalan --n 4": (
+        0,
+        {
+            "json": "7cd0d48ca693a577bfd396771a407fa162c33b107e55cab1f69ca0440234f84f",
+            "csv": "c31a35e7b052259dd6743cec47defb16607e2d1114b10ffdc14d909d9752c078",
+        },
+    ),
+    "catalan --n 4 --method vanishing": (
+        0,
+        {
+            "json": "63fbfaccd10267470b49f6320a6172a01c52beec8b6b50a64b77d8cc6c8233bb",
+            "csv": "c31a35e7b052259dd6743cec47defb16607e2d1114b10ffdc14d909d9752c078",
+        },
+    ),
 }
 
 
