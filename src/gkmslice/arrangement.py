@@ -4,7 +4,12 @@ Type A side: the polynomial ring Q[x_1..x_n, y_1..y_n] with the pair
 ideals (x_i - x_j, y_i - y_j)^d, their intersection over all pairs, the
 order-of-vanishing oracle along each pairwise diagonal, alternant
 products, the sign-isotypic quotient table, and the regular sequence
-check for the y variables.
+check for the y variables. Every pair ideal is generated in the
+differences x_j - x_1, y_j - y_1, so `jd-series` and `catalan` read one
+table of slices on the ring of those 2(n - 1) differences
+(`_reduced_table`): `jd_dimensions` sums its ranks, and
+`catalan_quotient` shifts its rows. `freeness_check`, `jd_slice`,
+`vanishing_slice` and `alternant_slice` stay on the full ring.
 
 Lattice side: the group algebra Q[Lambda] tensor Q[y] (x variables
 Laurent) with per-root ideals (y_alpha, 1 - x^coroot)^d, the homology
@@ -219,6 +224,15 @@ def full_slice(n: int, deg: tuple[int, int]) -> SliceResult:
     return _generated_slice(rg, grading, deg, basis, [[(MultiPoly.one(rg), (0, 0))]])
 
 
+def _check_jd(n: int, d: int, method: str) -> None:
+    if n < 2:
+        raise ValueError(f"n must be at least 2 (one pair of points), got {n}")
+    if d < 0:
+        raise ValueError(f"power d must be >= 0, got {d}")
+    if d and method not in ("spanning", "vanishing"):
+        raise ValueError(f"unknown method {method!r}")
+
+
 def jd_slice(n: int, d: int, deg: tuple[int, int], method: str = "spanning") -> SliceResult:
     """Slice of the intersection over all pairs of the d-th pair ideal powers.
 
@@ -226,16 +240,11 @@ def jd_slice(n: int, d: int, deg: tuple[int, int], method: str = "spanning") -> 
     one family per pair; "vanishing" solves the linearized order-d
     vanishing conditions instead (same subspace, independent pipeline).
     """
-    if n < 2:
-        raise ValueError(f"n must be at least 2 (one pair of points), got {n}")
-    if d < 0:
-        raise ValueError(f"power d must be >= 0, got {d}")
+    _check_jd(n, d, method)
     if d == 0:
         return full_slice(n, deg)
     if method == "vanishing":
         return vanishing_slice(n, d, deg)
-    if method != "spanning":
-        raise ValueError(f"unknown method {method!r}")
     rg, grading, basis = _xy_slice(n, deg)
     families = [
         _pair_family(rg, i, j, d) for i, j in itertools.combinations(range(1, n + 1), 2)
@@ -246,10 +255,10 @@ def jd_slice(n: int, d: int, deg: tuple[int, int], method: str = "spanning") -> 
 # ---- order-of-vanishing oracle along pairwise diagonals ----
 
 
-def _diagonal_shift(n: int, pair: tuple[int, int]) -> tuple[Ring, Mapping[str, MultiPoly]]:
-    """Substitution x_j -> x_i + u, y_j -> y_i + v into an extended ring."""
+def _diagonal_shift(rg: Ring, pair: tuple[int, int]) -> tuple[Ring, Mapping[str, MultiPoly]]:
+    """Substitution x_j -> x_i + u, y_j -> y_i + v into rg extended by u, v."""
     i, j = pair
-    ext = ring([f"x{k+1}" for k in range(n)] + [f"y{k+1}" for k in range(n)] + ["u", "v"])
+    ext = ring(rg.names + ("u", "v"))
     images = {
         f"x{j}": MultiPoly.gen(ext, f"x{i}") + MultiPoly.gen(ext, "u"),
         f"y{j}": MultiPoly.gen(ext, f"y{i}") + MultiPoly.gen(ext, "v"),
@@ -272,7 +281,7 @@ def symbolic_power_oracle(f: MultiPoly, n: int, d: int) -> bool:
     if d == 0:
         return True
     for pair in itertools.combinations(range(1, n + 1), 2):
-        ext, images = _diagonal_shift(n, pair)
+        ext, images = _diagonal_shift(f.ring, pair)
         g = f.substitute(images, ext)
         ui, vi = ext.index("u"), ext.index("v")
         for exp in g.terms:
@@ -281,13 +290,17 @@ def symbolic_power_oracle(f: MultiPoly, n: int, d: int) -> bool:
     return True
 
 
-def vanishing_slice(n: int, d: int, deg: tuple[int, int]) -> SliceResult:
-    """Subspace cut out by the oracle's linear conditions at one bidegree."""
-    rg, _, basis = _xy_slice(n, deg)
+def _vanishing(
+    rg: Ring, keys: Sequence[Exp], pairs: Iterable[tuple[int, int]], d: int
+) -> SliceResult:
+    """The span of the monomials keys cut out by the linearized order-d
+    vanishing conditions along the diagonals x_i = x_j, y_i = y_j of the
+    given pairs."""
+    basis = SliceBasis(keys)
     cond_index: dict = {}
     rows = [dict() for _ in range(len(basis))]
-    for pidx, pair in enumerate(itertools.combinations(range(1, n + 1), 2)):
-        ext, images = _diagonal_shift(n, pair)
+    for pidx, pair in enumerate(pairs):
+        ext, images = _diagonal_shift(rg, pair)
         ui, vi = ext.index("u"), ext.index("v")
         for bidx, exp in enumerate(basis.keys):
             g = MultiPoly.monomial(rg, exp).substitute(images, ext)
@@ -297,8 +310,13 @@ def vanishing_slice(n: int, d: int, deg: tuple[int, int]) -> SliceResult:
                 key = (pidx, gexp)
                 col = cond_index.setdefault(key, len(cond_index))
                 rows[bidx][col] = rows[bidx].get(col, ZERO) + c
-    kern = kernel_of_rows(rows)
-    return SliceResult(basis, kern, rg)
+    return SliceResult(basis, kernel_of_rows(rows), rg)
+
+
+def vanishing_slice(n: int, d: int, deg: tuple[int, int]) -> SliceResult:
+    """Subspace cut out by the oracle's linear conditions at one bidegree."""
+    rg, _, basis = _xy_slice(n, deg)
+    return _vanishing(rg, basis.keys, itertools.combinations(range(1, n + 1), 2), d)
 
 
 # ---- alternants (type A: simultaneous permutation of x and y) ----
@@ -382,16 +400,69 @@ def alternant_slice(n: int, d: int, deg: tuple[int, int]) -> SliceResult:
     return _generated_slice(rg, grading, deg, basis, [products()])
 
 
+# ---- the translation-reduced ring: one table for jd-series and catalan ----
+
+
+def _reduced_table(n: int, d: int, top: int, method: str) -> dict[tuple[int, int], SliceResult]:
+    """J'^d at every bidegree (a, b) with a + b <= top, on the ring R' of
+    the differences to the first point.
+
+    R' = Q[x'_2..x'_n, y'_2..y'_n] with x'_j = x_j - x_1 and y'_j = y_j -
+    y_1 (its variables are named x2..xn, y2..yn). This graded change of
+    variables makes Q[x, y] = R'[x_1, y_1] and takes the pair ideal of
+    (1, j) to (x'_j, y'_j)^d and that of (i, j) to (x'_i - x'_j, y'_i -
+    y'_j)^d, each extended from an ideal of R'. Q[x, y] is free over R',
+    so intersections commute with the extension: J^d = J'^d[x_1, y_1],
+    with J'^d the intersection of those ideals in R'. Hence J^d(a, b) is
+    the direct sum of x_1^(a - a') y_1^(b - b') J'^d(a', b') over a' <= a,
+    b' <= b, and its dimension is a two-dimensional prefix sum of the
+    table's ranks. The ideal (x, y) of the variables is (x', y')[x_1, y_1]
+    + (x_1, y_1), so J^d / (x, y) J^d = (J'^d / (x', y') J'^d) tensor
+    Q[x_1, y_1] / (x_1, y_1) = J'^d / (x', y') J'^d in every bidegree.
+
+    method "spanning" intersects the spans of one family per j >= 2, the
+    monomials x'_j^e y'_j^(d - e), and of the pair families of 2 <= i <
+    j. method "vanishing" starts from the monomials whose (x'_j,
+    y'_j)-degree is at least d for every j >= 2, which span the
+    intersection of the (x'_j, y'_j)^d, and imposes the linearized
+    vanishing conditions of the pairs 2 <= i < j only.
+    """
+    _check_jd(n, d, method)
+    rg = ring([f"x{j}" for j in range(2, n + 1)] + [f"y{j}" for j in range(2, n + 1)])
+    grading = grading_for(rg, {name: (1, 0) if name[0] == "x" else (0, 1) for name in rg.names})
+    pairs = list(itertools.combinations(range(2, n + 1), 2))
+    if d == 0:
+        families = [[(MultiPoly.one(rg), (0, 0))]]
+    else:
+        families = []
+        for j in range(2, n + 1):
+            xj, yj = MultiPoly.gen(rg, f"x{j}"), MultiPoly.gen(rg, f"y{j}")
+            families.append([(xj**e * yj ** (d - e), (e, d - e)) for e in range(d + 1)])
+        families += [_pair_family(rg, i, j, d) for i, j in pairs]
+    table = {}
+    for a in range(top + 1):
+        for b in range(top + 1 - a):
+            keys = slice_monomials(rg, grading, (a, b))
+            if d and method == "vanishing":
+                keys = [e for e in keys if all(e[k] + e[k + n - 1] >= d for k in range(n - 1))]
+                table[(a, b)] = _vanishing(rg, keys, pairs, d)
+            else:
+                table[(a, b)] = _generated_slice(rg, grading, (a, b), SliceBasis(keys), families)
+    return table
+
+
+def jd_dimensions(n: int, d: int, maxdeg: int, method: str) -> dict[tuple[int, int], int]:
+    """dim J^d(a, b) for every a + b <= maxdeg, as two-dimensional prefix
+    sums of the ranks of `_reduced_table` (the rank of `jd_slice` at
+    (a, b))."""
+    dims: dict[tuple[int, int], int] = {}
+    for (a, b), s in _reduced_table(n, d, maxdeg, method).items():
+        below = dims.get((a - 1, b), 0) + dims.get((a, b - 1), 0) - dims.get((a - 1, b - 1), 0)
+        dims[(a, b)] = s.rank + below
+    return dims
+
+
 # ---- sign-isotypic quotient table (Catalan numbers) ----
-
-
-def _slice_table(n: int, d: int, top: int, method: str) -> dict[tuple[int, int], SliceResult]:
-    """jd_slice at every bidegree (a, b) with a + b <= top + 1."""
-    return {
-        (a, b): jd_slice(n, d, (a, b), method=method)
-        for a in range(top + 2)
-        for b in range(top + 2 - a)
-    }
 
 
 @dataclass
@@ -409,10 +480,12 @@ def catalan_quotient(n: int, method: str = "spanning") -> CatalanReport:
 
     J is the d = 1 intersection; the quotient is supported in total
     degree <= n(n-1)/2, and the first diagonal past the top is computed
-    and checked to vanish.
+    and checked to vanish. It is read off `_reduced_table` as J' / (x',
+    y') J': at each bidegree, the rank of the slice of J' less that of
+    the shifts of the slices below it by x'_2..x'_n and y'_2..y'_n.
     """
     top = n * (n - 1) // 2
-    slices = _slice_table(n, 1, top, method)
+    slices = _reduced_table(n, 1, top + 1, method)
     table: dict[tuple[int, int], int] = {}
     for (a, b), cur in slices.items():
         if cur.rank == 0:
@@ -422,8 +495,8 @@ def catalan_quotient(n: int, method: str = "spanning") -> CatalanReport:
             if pa < 0 or pb < 0:
                 continue
             prev = slices[(pa, pb)]
-            for i in range(n):
-                sub.extend(_shift_rows(prev, cur, f"{gen_name}{i+1}"))
+            for i in range(2, n + 1):
+                sub.extend(_shift_rows(prev, cur, f"{gen_name}{i}"))
                 if sub.rank == cur.rank:
                     break
             if sub.rank == cur.rank:
@@ -467,7 +540,11 @@ def freeness_check(n: int, d: int, max_total: int, method: str = "spanning") -> 
     """
     if max_total < 0:
         raise ValueError(f"max_total must be >= 0, got {max_total}")
-    slices = _slice_table(n, d, max_total, method)
+    slices = {
+        (a, b): jd_slice(n, d, (a, b), method=method)
+        for a in range(max_total + 2)
+        for b in range(max_total + 2 - a)
+    }
     chain: dict[tuple[int, int], list[int]] = {}  # (a, b) -> [r_0, ..., r_n]
     for (a, b), dst in slices.items():
         image, ranks = Subspace(len(dst.basis)), [0]
@@ -716,13 +793,20 @@ def derivation_kernel(
     of y_v^a g_a(w), D^k f = 0 exactly when g_a = 0 for every a >= k, so
     the products y_v^a prod w_n^(b_n) with a < k and a + |b| = ydeg span
     the kernel; they are distinct monomials in (y_v, w), so they are a
-    basis. A D with every coefficient 0 raises ValueError.
+    basis. When k > ydeg every a <= ydeg qualifies and the kernel is every
+    polynomial of degree ydeg, so the monomials y_v^a prod y_n^(b_n) are
+    listed instead, which have fewer terms. A D with every coefficient 0
+    raises ValueError.
     """
     v = next((n for n in ynames if coeffs.get(n)), None)
     if v is None:
         raise ValueError("derivation has every coefficient 0")
     cv, yv = coeffs[v], MultiPoly.gen(rg, v)
-    ws = [MultiPoly.gen(rg, n) * cv - yv * coeffs.get(n, 0) for n in ynames if n != v]
+    others = [n for n in ynames if n != v]
+    if k > ydeg:
+        ws = [MultiPoly.gen(rg, n) for n in others]
+    else:
+        ws = [MultiPoly.gen(rg, n) * cv - yv * coeffs.get(n, 0) for n in others]
     return [
         reduce(mul, combo, yv**a)
         for a in range(min(k, ydeg + 1))

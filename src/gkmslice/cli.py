@@ -147,8 +147,9 @@ def cmd_jd_series(args) -> int:
         raise ValueError("jd-series supports --group GL (pointwise diagonals)")
     if args.maxdeg < 0:
         raise ValueError(f"--maxdeg must be >= 0, got {args.maxdeg}")
+    dims = arrangement.jd_dimensions(args.n, args.d, args.maxdeg, args.method)
     rows = [
-        [a, b, arrangement.jd_slice(args.n, args.d, (a, b), method=args.method).rank]
+        [a, b, dims[(a, b)]]
         for total in range(args.maxdeg + 1)
         for a in range(total + 1)
         for b in [total - a]

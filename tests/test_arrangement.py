@@ -10,8 +10,10 @@ from gkmslice.arrangement import (
     _flag_steps,
     _generated_slice,
     _lattice_steps,
+    _reduced_table,
     _relation_generators,
     _root_families,
+    _shift_rows,
     _window_dict,
     alternant,
     alternant_slice,
@@ -22,6 +24,7 @@ from gkmslice.arrangement import (
     flag_step_element,
     freeness_check,
     full_slice,
+    jd_dimensions,
     jd_root_slice,
     jd_slice,
     lattice_grading,
@@ -275,6 +278,58 @@ def test_spanning_and_vanishing_jd_slices_agree(case):
         assert symbolic_power_oracle(f, n, d) == member
 
 
+@pytest.mark.parametrize("method", ["spanning", "vanishing"])
+@pytest.mark.parametrize(
+    "n,d,maxdeg", [(2, 1, 6), (2, 2, 6), (2, 3, 6), (3, 1, 6), (3, 2, 6), (4, 1, 4)]
+)
+def test_reduced_prefix_sums_are_the_full_ring_ranks(n, d, maxdeg, method):
+    dims = jd_dimensions(n, d, maxdeg, method)
+    degrees = [(a, total - a) for total in range(maxdeg + 1) for a in range(total + 1)]
+    assert sorted(dims) == sorted(degrees)
+    for deg in degrees:
+        assert dims[deg] == jd_slice(n, d, deg, method=method).rank, deg
+
+
+@st.composite
+def reduced_cases(draw):
+    """(n, d, (a, b)) with n <= 4, d <= 2, a + b <= 4, and integer
+    weights for a polynomial on the reduced slice: one per spanning row,
+    one on a basis monomial."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(0, 2))
+    a = draw(st.integers(0, 4))
+    b = draw(st.integers(0, 4 - a))
+    weights = st.lists(st.integers(-3, 3), min_size=12, max_size=12)
+    return n, d, (a, b), draw(weights), draw(st.integers(-1, 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(reduced_cases())
+def test_reduced_spanning_and_vanishing_slices_agree(case):
+    n, d, deg, weights, stray = case
+    spanning = _reduced_table(n, d, sum(deg), "spanning")[deg]
+    vanishing = _reduced_table(n, d, sum(deg), "vanishing")[deg]
+    # the vanishing basis is the monomials of the (1, j) monomial ideal
+    moved = Subspace(len(spanning.basis))
+    for row in vanishing.space.rows:
+        moved.insert({spanning.basis.index[vanishing.basis.keys[c]]: v for c, v in row.items()})
+    assert moved == spanning.space
+    # a combination of the rows, pushed off the slice by a stray monomial,
+    # pulled back to Q[x, y] by x'_j -> x_j - x_1, y'_j -> y_j - y_1
+    f = MultiPoly.zero(spanning.ring)
+    for w, row in zip(weights, spanning.row_polys()):
+        f = f + row * w
+    f = f + MultiPoly.monomial(spanning.ring, spanning.basis.keys[0]) * stray
+    member = spanning.contains(f.terms)
+    assert vanishing.contains(f.terms) == member
+    rg, xs, ys = xy_gens(n)
+    images = {}
+    for j in range(2, n + 1):
+        images[f"x{j}"] = xs[j - 1] - xs[0]
+        images[f"y{j}"] = ys[j - 1] - ys[0]
+    assert symbolic_power_oracle(f.substitute(images, rg), n, d) == member
+
+
 @pytest.mark.parametrize("n,d", [(2, 1), (2, 2), (3, 1)])
 def test_alternant_slice_matches_jd(n, d):
     for total in range(0, 5):
@@ -307,6 +362,42 @@ def test_catalan_n3_table_symmetric():
         (3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1, (1, 1): 1,
     }
     assert all(report.table[(b, a)] == v for (a, b), v in report.table.items())
+
+
+def full_ring_catalan_table(n, method):
+    """J / (x, y) J from full-ring slices: each slice less the shifts of
+    the slices below it by every x_i and y_i."""
+    top = n * (n - 1) // 2
+    slices = {
+        (a, b): jd_slice(n, 1, (a, b), method=method)
+        for a in range(top + 2)
+        for b in range(top + 2 - a)
+    }
+    table = {}
+    for (a, b), cur in slices.items():
+        if cur.rank == 0:
+            continue
+        sub = Subspace(len(cur.basis))
+        for (pa, pb), gen_name in (((a - 1, b), "x"), ((a, b - 1), "y")):
+            if pa < 0 or pb < 0:
+                continue
+            for i in range(n):
+                sub.extend(_shift_rows(slices[(pa, pb)], cur, f"{gen_name}{i+1}"))
+                if sub.rank == cur.rank:
+                    break
+            if sub.rank == cur.rank:
+                break
+        if cur.rank > sub.rank:
+            table[(a, b)] = cur.rank - sub.rank
+    return table
+
+
+@pytest.mark.parametrize(
+    "n,method",
+    [(2, "spanning"), (3, "spanning"), (4, "spanning"), (2, "vanishing"), (3, "vanishing")],
+)
+def test_reduced_catalan_table_is_the_full_ring_table(n, method):
+    assert catalan_quotient(n, method).table == full_ring_catalan_table(n, method)
 
 
 def test_freeness_small():
@@ -466,6 +557,8 @@ def test_closed_form_derivation_kernel_is_the_solved_kernel(group):
             assert len(basis) == closed.rank == solved.rank, (coeffs, k, ydeg)
             assert closed == solved, (coeffs, k, ydeg)
             assert all(c.denominator == 1 for K in basis for c in K.terms.values())
+            if k > ydeg:  # every polynomial of degree ydeg, by monomials
+                assert all(len(K) == 1 for K in basis), (coeffs, k, ydeg)
 
 
 def test_derivation_kernel_rejects_the_zero_derivation():
