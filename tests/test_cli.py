@@ -535,6 +535,79 @@ REPORT_DIGESTS = {
             "csv": "c31a35e7b052259dd6743cec47defb16607e2d1114b10ffdc14d909d9752c078",
         },
     ),
+    # freeness by both methods, and the n = 4 jd-series table by vanishing.
+    "freeness --n 3 --maxdeg 8": (
+        0,
+        {
+            "json": "2da4ed3ade927a85cfcec182d26b919cbe3d000d9a5594bc218ecc495dc6bd82",
+            "csv": "cf31d8f2812a9e385982bb48702078e0619ba46b0d91aca5b6e16fb9e6808f19",
+            "human": "62cdc97465872806f223f38950ba494066778c1d24908ddeb393df53dc202914",
+        },
+    ),
+    "freeness --n 3 --maxdeg 8 --method vanishing": (
+        0,
+        {
+            "json": "2da4ed3ade927a85cfcec182d26b919cbe3d000d9a5594bc218ecc495dc6bd82",
+            "csv": "cf31d8f2812a9e385982bb48702078e0619ba46b0d91aca5b6e16fb9e6808f19",
+            "human": "62cdc97465872806f223f38950ba494066778c1d24908ddeb393df53dc202914",
+        },
+    ),
+    "freeness --n 3 --d 2 --maxdeg 6": (
+        0,
+        {
+            "json": "bb67e9dc88414debd46ddd9a8f09abf7e4e3afc3279a7161a61d1b3a42ea9e5b",
+            "csv": "cf31d8f2812a9e385982bb48702078e0619ba46b0d91aca5b6e16fb9e6808f19",
+            "human": "62cdc97465872806f223f38950ba494066778c1d24908ddeb393df53dc202914",
+        },
+    ),
+    "freeness --n 3 --d 2 --maxdeg 6 --method vanishing": (
+        0,
+        {
+            "json": "bb67e9dc88414debd46ddd9a8f09abf7e4e3afc3279a7161a61d1b3a42ea9e5b",
+            "csv": "cf31d8f2812a9e385982bb48702078e0619ba46b0d91aca5b6e16fb9e6808f19",
+            "human": "62cdc97465872806f223f38950ba494066778c1d24908ddeb393df53dc202914",
+        },
+    ),
+    "freeness --n 4 --d 1 --maxdeg 5": (
+        0,
+        {
+            "json": "50faab91a5d1c987d5857c5ed8cc491e1701a41912f85af69091009421f9909a",
+            "csv": "2d1d970a9f0bfae23e6737d2ddf8637afdb15d0e97e50ab00e37d947b5798b3a",
+            "human": "0e9bee4ffc5fab737cde888c140879ddf0dbd0e302fe7b0a0052464d8c71f86a",
+        },
+    ),
+    "freeness --n 4 --d 1 --maxdeg 5 --method vanishing": (
+        0,
+        {
+            "json": "50faab91a5d1c987d5857c5ed8cc491e1701a41912f85af69091009421f9909a",
+            "csv": "2d1d970a9f0bfae23e6737d2ddf8637afdb15d0e97e50ab00e37d947b5798b3a",
+            "human": "0e9bee4ffc5fab737cde888c140879ddf0dbd0e302fe7b0a0052464d8c71f86a",
+        },
+    ),
+    "freeness --n 2 --d 0 --maxdeg 3": (
+        0,
+        {
+            "json": "b004bf1a70bc55aada47e728e4e5518daf51112e376c2bb5b666532694b2c932",
+            "csv": "4d44e34b9e1131ccc552a48ae454fd31154c725d88a0797ebd935124dff836b9",
+            "human": "3257a45011db0ad4526894a2f4cbec1fd760df776f2f97ed39fff3ea81d5ae6e",
+        },
+    ),
+    "freeness --n 2 --d 0 --maxdeg 3 --method vanishing": (
+        0,
+        {
+            "json": "b004bf1a70bc55aada47e728e4e5518daf51112e376c2bb5b666532694b2c932",
+            "csv": "4d44e34b9e1131ccc552a48ae454fd31154c725d88a0797ebd935124dff836b9",
+            "human": "3257a45011db0ad4526894a2f4cbec1fd760df776f2f97ed39fff3ea81d5ae6e",
+        },
+    ),
+    "jd-series --n 4 --d 1 --maxdeg 5 --method vanishing": (
+        0,
+        {
+            "json": "8936ff9ba9febb5c6200032ba50fc8010b292d1a188298c00a4c652dddf9716c",
+            "csv": "fe36fcaf4aaf3b6063f138791684113af3451a4a04da0054ab7899528d913c94",
+            "human": "602ef730ef519522b9a3328fae38d369677d5b5e1de997be797efd660af08470",
+        },
+    ),
 }
 
 
