@@ -5,11 +5,11 @@ ideals (x_i - x_j, y_i - y_j)^d, their intersection over all pairs, the
 order-of-vanishing oracle along each pairwise diagonal, alternant
 products, the sign-isotypic quotient table, and the regular sequence
 check for the y variables. Every pair ideal is generated in the
-differences x_j - x_1, y_j - y_1, so `jd-series` and `catalan` read one
-table of slices on the ring of those 2(n - 1) differences
-(`_reduced_table`): `jd_dimensions` sums its ranks, and
-`catalan_quotient` shifts its rows. `freeness_check`, `jd_slice`,
-`vanishing_slice` and `alternant_slice` stay on the full ring.
+differences x_j - x_1, y_j - y_1, so `jd-series`, `catalan` and `freeness`
+read one table of slices on the ring of those 2(n - 1) differences
+(`_reduced_table`): `jd_dimensions` sums its ranks, `catalan_quotient` and
+`freeness_check` shift its rows. `jd_slice`, `vanishing_slice`,
+`full_slice` and `alternant_slice` stay on the full ring as the reference.
 
 Lattice side: the group algebra Q[Lambda] tensor Q[y] (x variables
 Laurent) with per-root ideals (y_alpha, 1 - x^coroot)^d, the homology
@@ -49,9 +49,9 @@ keys by hand.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
-from math import lcm
+from math import comb, lcm
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -255,17 +255,6 @@ def jd_slice(n: int, d: int, deg: tuple[int, int], method: str = "spanning") -> 
 # ---- order-of-vanishing oracle along pairwise diagonals ----
 
 
-def _diagonal_shift(rg: Ring, pair: tuple[int, int]) -> tuple[Ring, Mapping[str, MultiPoly]]:
-    """Substitution x_j -> x_i + u, y_j -> y_i + v into rg extended by u, v."""
-    i, j = pair
-    ext = ring(rg.names + ("u", "v"))
-    images = {
-        f"x{j}": MultiPoly.gen(ext, f"x{i}") + MultiPoly.gen(ext, "u"),
-        f"y{j}": MultiPoly.gen(ext, f"y{i}") + MultiPoly.gen(ext, "v"),
-    }
-    return ext, images
-
-
 def symbolic_power_oracle(f: MultiPoly, n: int, d: int) -> bool:
     """Does f vanish to order >= d along every pairwise diagonal?
 
@@ -280,13 +269,13 @@ def symbolic_power_oracle(f: MultiPoly, n: int, d: int) -> bool:
         raise ValueError("oracle expects the n-variable diagonal ring")
     if d == 0:
         return True
-    for pair in itertools.combinations(range(1, n + 1), 2):
-        ext, images = _diagonal_shift(f.ring, pair)
-        g = f.substitute(images, ext)
-        ui, vi = ext.index("u"), ext.index("v")
-        for exp in g.terms:
-            if exp[ui] + exp[vi] < d:
-                return False
+    ext = ring(f.ring.names + ("u", "v"))  # u, v are the last two exponents
+    u, v = MultiPoly.gen(ext, "u"), MultiPoly.gen(ext, "v")
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        images = {f"x{j}": MultiPoly.gen(ext, f"x{i}") + u}
+        images[f"y{j}"] = MultiPoly.gen(ext, f"y{i}") + v
+        if any(sum(exp[-2:]) < d for exp in f.substitute(images, ext).terms):
+            return False
     return True
 
 
@@ -295,21 +284,28 @@ def _vanishing(
 ) -> SliceResult:
     """The span of the monomials keys cut out by the linearized order-d
     vanishing conditions along the diagonals x_i = x_j, y_i = y_j of the
-    given pairs."""
+    given pairs.
+
+    Under x_j -> x_i + u, y_j -> y_i + v a monomial whose (x_j,
+    y_j)-exponent is (a, b) becomes the sum over k <= a, l <= b of C(a, k)
+    C(b, l) u^k v^l times the monomial with x_j^a y_j^b replaced by
+    x_i^(a - k) y_i^(b - l). Each term with k + l < d is one condition,
+    keyed by (pair, that monomial, k, l), the monomial as its exponents
+    of x_i and y_i and the rest of its exponent with those of x_i, x_j,
+    y_i and y_j set to 0.
+    """
     basis = SliceBasis(keys)
     cond_index: dict = {}
-    rows = [dict() for _ in range(len(basis))]
-    for pidx, pair in enumerate(pairs):
-        ext, images = _diagonal_shift(rg, pair)
-        ui, vi = ext.index("u"), ext.index("v")
-        for bidx, exp in enumerate(basis.keys):
-            g = MultiPoly.monomial(rg, exp).substitute(images, ext)
-            for gexp, c in g.terms.items():
-                if gexp[ui] + gexp[vi] >= d:
-                    continue
-                key = (pidx, gexp)
-                col = cond_index.setdefault(key, len(cond_index))
-                rows[bidx][col] = rows[bidx].get(col, ZERO) + c
+    rows: list[dict] = [{} for _ in range(len(basis))]
+    for pair in pairs:
+        xi, xj, yi, yj = (rg.index(f"{name}{p}") for name in "xy" for p in pair)
+        for row, exp in zip(rows, basis.keys):
+            a, b = exp[xj], exp[yj]
+            rest = tuple(0 if c in (xi, xj, yi, yj) else e for c, e in enumerate(exp))
+            for k in range(min(a, d - 1) + 1):
+                for l in range(min(b, d - 1 - k) + 1):
+                    key = (pair, exp[xi] + a - k, exp[yi] + b - l, rest, k, l)
+                    row[cond_index.setdefault(key, len(cond_index))] = comb(a, k) * comb(b, l)
     return SliceResult(basis, kernel_of_rows(rows), rg)
 
 
@@ -524,8 +520,8 @@ class FreenessReport:
     d: int
     max_total: int
     ok: bool
-    failures: list = field(default_factory=list)  # (stage k, (a, b))
-    stages_checked: int = 0
+    failures: list  # (stage k, (a, b))
+    stages_checked: int
 
 
 def freeness_check(n: int, d: int, max_total: int, method: str = "spanning") -> FreenessReport:
@@ -533,37 +529,40 @@ def freeness_check(n: int, d: int, max_total: int, method: str = "spanning") -> 
 
     Checked slice by slice through the given total degree: at stage k the
     map 'multiply by y_k' on J/(y_1..y_{k-1})J must be injective on every
-    bidegree (a, b) with a + b <= max_total. With r_k(a, b) the rank of
-    (y_1..y_k) J(a, b-1) inside J(a, b), one rank chain r_0..r_n per
-    bidegree, that is dim J(a, b) - r_{k-1}(a, b) = r_k(a, b+1) -
-    r_{k-1}(a, b+1).
+    bidegree (a, b) with a + b <= max_total. It is read off
+    `_reduced_table`, where J = J'[x_1, y_1] (y'_k = y_k - y_1). J is
+    free over Q[y_1], so y_1 is regular on it and stage 1 passes. For k
+    >= 2, J/(y_1..y_{k-1})J = (J'/(y'_2..y'_{k-1})J')[x_1] and y_k acts
+    as y'_k, so the map at (a, b) is the direct sum over a' <= a of
+    x_1^(a - a') times the map by y'_k at (a', b) on the reduced quotient:
+    stage k fails at (a, b) exactly when the reduced map fails at some
+    (a', b) with a' <= a. With r_k(a, b) the rank of (y'_2..y'_k) J'(a,
+    b-1) inside J'(a, b), one rank chain r_0 = r_1 = 0, r_2, .., r_n per
+    bidegree, the reduced map at (a, b) is injective when dim J'(a, b) -
+    r_{k-1}(a, b) = r_k(a, b+1) - r_{k-1}(a, b+1).
     """
     if max_total < 0:
         raise ValueError(f"max_total must be >= 0, got {max_total}")
-    slices = {
-        (a, b): jd_slice(n, d, (a, b), method=method)
-        for a in range(max_total + 2)
-        for b in range(max_total + 2 - a)
-    }
+    slices = _reduced_table(n, d, max_total + 1, method)
     chain: dict[tuple[int, int], list[int]] = {}  # (a, b) -> [r_0, ..., r_n]
     for (a, b), dst in slices.items():
-        image, ranks = Subspace(len(dst.basis)), [0]
-        for i in range(1, n + 1):
+        image, ranks = Subspace(len(dst.basis)), [0, 0]
+        for j in range(2, n + 1):
             if b >= 1:
-                image.extend(_shift_rows(slices[(a, b - 1)], dst, f"y{i}"))
+                image.extend(_shift_rows(slices[(a, b - 1)], dst, f"y{j}"))
             ranks.append(image.rank)
         chain[(a, b)] = ranks
 
-    report = FreenessReport(n=n, d=d, max_total=max_total, ok=True)
-    for k in range(1, n + 1):
-        for a in range(max_total + 1):
-            for b in range(max_total + 1 - a):
-                here, nxt = chain[(a, b)], chain[(a, b + 1)]
-                report.stages_checked += 1
-                if slices[(a, b)].rank - here[k - 1] != nxt[k] - nxt[k - 1]:
-                    report.ok = False
-                    report.failures.append((k, (a, b)))
-    return report
+    failed = set()
+    for (a, b), here in chain.items():
+        if a + b > max_total:
+            continue
+        nxt = chain[(a, b + 1)]
+        for k in range(2, n + 1):
+            if slices[(a, b)].rank - here[k - 1] != nxt[k] - nxt[k - 1]:
+                failed.update((k, (up, b)) for up in range(a, max_total + 1 - b))
+    checked = n * (max_total + 1) * (max_total + 2) // 2
+    return FreenessReport(n, d, max_total, not failed, sorted(failed), checked)
 
 
 # ---- windowed slices over the cocharacter lattice ----

@@ -14,6 +14,7 @@ from gkmslice.arrangement import (
     _relation_generators,
     _root_families,
     _shift_rows,
+    _vanishing,
     _window_dict,
     alternant,
     alternant_slice,
@@ -33,6 +34,7 @@ from gkmslice.arrangement import (
     pair_ideal_slice,
     symbolic_power_oracle,
     vanishing_slice,
+    xy_grading,
     xy_ring,
 )
 from gkmslice.gkm import y_names
@@ -406,6 +408,99 @@ def test_freeness_small():
     assert report.stages_checked > 0
 
 
+def reduced_ring(n):
+    """The ring of the differences x'_j, y'_j (named x2..xn, y2..yn) and
+    its bigrading, as `_reduced_table` builds them."""
+    rg = ring([f"x{j}" for j in range(2, n + 1)] + [f"y{j}" for j in range(2, n + 1)])
+    return rg, grading_for(rg, {name: (1, 0) if name[0] == "x" else (0, 1) for name in rg.names})
+
+
+def generated(rg, grading, family, deg):
+    basis = SliceBasis(slice_monomials(rg, grading, deg))
+    return _generated_slice(rg, grading, deg, basis, [family])
+
+
+def full_ring_freeness(n, max_total, slice_at):
+    """(failures, checks) of the regular-sequence check by y_1..y_n on
+    full-ring slices, slice_at(deg) being the ideal's slice at deg: one
+    rank chain r_0..r_n per bidegree, r_k the rank of (y_1..y_k) I(a,
+    b-1) inside I(a, b), every stage k at every a + b <= max_total."""
+    slices = {
+        (a, b): slice_at((a, b)) for a in range(max_total + 2) for b in range(max_total + 2 - a)
+    }
+    chain = {}
+    for (a, b), dst in slices.items():
+        image, ranks = Subspace(len(dst.basis)), [0]
+        for i in range(1, n + 1):
+            if b >= 1:
+                image.extend(_shift_rows(slices[(a, b - 1)], dst, f"y{i}"))
+            ranks.append(image.rank)
+        chain[(a, b)] = ranks
+    failures, checks = [], 0
+    for k in range(1, n + 1):
+        for a in range(max_total + 1):
+            for b in range(max_total + 1 - a):
+                here, nxt = chain[(a, b)], chain[(a, b + 1)]
+                checks += 1
+                if slices[(a, b)].rank - here[k - 1] != nxt[k] - nxt[k - 1]:
+                    failures.append((k, (a, b)))
+    return failures, checks
+
+
+@pytest.mark.parametrize("method", ["spanning", "vanishing"])
+@pytest.mark.parametrize(
+    "n,d,max_total", [(2, 1, 6), (2, 2, 6), (2, 3, 6), (3, 1, 6), (3, 2, 5), (4, 1, 4)]
+)
+def test_reduced_freeness_is_the_full_ring_check(n, d, max_total, method):
+    report = freeness_check(n, d, max_total, method)
+    failures, checks = full_ring_freeness(n, max_total, lambda deg: jd_slice(n, d, deg, method))
+    assert (report.n, report.d, report.max_total) == (n, d, max_total)
+    assert report.ok == (not failures)
+    assert (report.failures, report.stages_checked) == (failures, checks)
+
+
+# Ideals extended from the reduced ring of n = 3 on which the check fails,
+# as generators in x'_j and y'_j (x[j], y[j]), and their failures through
+# total degree 5. On the maximal ideal the reduced check fails at (0, 1)
+# only, so the failures at a > 0 come from the direct sum over a' <= a.
+FAILING_IDEALS = {
+    "y2,y3": (
+        lambda x, y: [(y[2], (0, 1)), (y[3], (0, 1))],
+        [(3, (a, 1)) for a in range(5)],
+    ),
+    "x2y3,y2^2": (
+        lambda x, y: [(x[2] * y[3], (1, 1)), (y[2] ** 2, (0, 2))],
+        [(3, (a, 2)) for a in range(1, 4)],
+    ),
+    "x2,x3,y2,y3": (
+        lambda x, y: [(x[2], (1, 0)), (x[3], (1, 0)), (y[2], (0, 1)), (y[3], (0, 1))],
+        [(3, (a, 1)) for a in range(5)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FAILING_IDEALS))
+def test_reduced_freeness_failures_are_the_full_ring_failures(monkeypatch, name):
+    generators, expected = FAILING_IDEALS[name]
+    rg, grading = reduced_ring(3)
+    x = {j: MultiPoly.gen(rg, f"x{j}") for j in (2, 3)}
+    y = {j: MultiPoly.gen(rg, f"y{j}") for j in (2, 3)}
+    table = {(a, b): generated(rg, grading, generators(x, y), (a, b))
+             for a in range(7) for b in range(7 - a)}
+    monkeypatch.setattr("gkmslice.arrangement._reduced_table", lambda n, d, top, method: table)
+    report = freeness_check(3, 1, 5)
+
+    full, xs, ys = xy_gens(3)
+    family = generators(
+        {j: xs[j - 1] - xs[0] for j in (2, 3)}, {j: ys[j - 1] - ys[0] for j in (2, 3)}
+    )
+    failures, checks = full_ring_freeness(
+        3, 5, lambda deg: generated(full, xy_grading(3), family, deg)
+    )
+    assert failures == expected
+    assert (report.ok, report.failures, report.stages_checked) == (False, failures, checks)
+
+
 def test_full_slice_dimension():
     # all monomials of bidegree (1, 1) for n = 2
     assert full_slice(2, (1, 1)).rank == 4
@@ -559,6 +654,46 @@ def test_closed_form_derivation_kernel_is_the_solved_kernel(group):
             assert all(c.denominator == 1 for K in basis for c in K.terms.values())
             if k > ydeg:  # every polynomial of degree ydeg, by monomials
                 assert all(len(K) == 1 for K in basis), (coeffs, k, ydeg)
+
+
+# ---- vanishing conditions in closed form against substitution ----
+
+
+def substituted_vanishing(rg, keys, pairs, d):
+    """The subspace of the monomials keys cut out by the vanishing
+    conditions, substituted: each monomial under x_j -> x_i + u, y_j ->
+    y_i + v in rg extended by u, v, one condition per pair and term of
+    (u, v)-degree below d, then the kernel of those rows."""
+    ext = ring(rg.names + ("u", "v"))
+    ui, vi = ext.index("u"), ext.index("v")
+    cond_index, rows = {}, [{} for _ in keys]
+    for pidx, (i, j) in enumerate(pairs):
+        images = {
+            f"x{j}": MultiPoly.gen(ext, f"x{i}") + MultiPoly.gen(ext, "u"),
+            f"y{j}": MultiPoly.gen(ext, f"y{i}") + MultiPoly.gen(ext, "v"),
+        }
+        for row, exp in zip(rows, keys):
+            for gexp, c in MultiPoly.monomial(rg, exp).substitute(images, ext).terms.items():
+                if gexp[ui] + gexp[vi] < d:
+                    col = cond_index.setdefault((pidx, gexp), len(cond_index))
+                    row[col] = row.get(col, 0) + c
+    return kernel_of_rows(rows)
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_closed_form_vanishing_conditions_are_the_substituted_ones(n, reduced):
+    if reduced:
+        rg, grading = reduced_ring(n)
+        pairs = list(itertools.combinations(range(2, n + 1), 2))
+    else:
+        rg, grading = xy_ring(n), xy_grading(n)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for d, total in itertools.product(range(1, 4), range(6)):
+        for deg in ((a, total - a) for a in range(total + 1)):
+            keys = slice_monomials(rg, grading, deg)
+            closed = _vanishing(rg, keys, pairs, d).space
+            assert closed == substituted_vanishing(rg, keys, pairs, d), (n, d, deg)
 
 
 def test_derivation_kernel_rejects_the_zero_derivation():
