@@ -639,6 +639,22 @@ RELATION_DIGESTS = {
             "human": "ed612c4f0ac8c825c0035824591a05e813ee365429e177f7a9ad13f9073ad7b7",
         },
     ),
+    "conjecture-check --n 3 --d 1 --order 16": (
+        0,
+        {
+            "json": "a15a8e4582834ce402cefb2bf6b98e338078fe1b9651508641f487bf47702124",
+            "csv": "cc7c7995896d44514fa3f04032da1b3207a44cba52ad01a29ceb25863cf20595",
+            "human": "a6312a49dc96040b8ae6dcdbf91d20bbf83d5fdff4e446bfa39352dc3119bb1e",
+        },
+    ),
+    "conjecture-check --n 2 --d 2 --order 16": (
+        0,
+        {
+            "json": "d01737b4b36852e2d9abe86f17bba64710c76caf2e090ecf18a266285a76acc7",
+            "csv": "6a9258d519978d00d2d6361c4d7ea6df89edf3f80ec2136ac3a525b3257f3d54",
+            "human": "753a13104e822b1bf4589cfc10b2b919b614cb2a7a2e78b95e499f7c868e5ab9",
+        },
+    ),
     "ordinary-quotient --group SL3 --ydeg 2 --window 0:1": (
         0,
         {
