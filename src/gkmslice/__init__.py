@@ -21,6 +21,7 @@ from .curves import (
     msv_assemble,
     punctual_series,
     quotient_hilbert_slice,
+    quotient_table,
 )
 from .gkm import (
     build_flag_rank1_graph,
@@ -51,6 +52,7 @@ __all__ = [
     "ordinary_homology_quotient_slice",
     "punctual_series",
     "quotient_hilbert_slice",
+    "quotient_table",
     "ring",
     "root_datum",
     "sl2_classes",

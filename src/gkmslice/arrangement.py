@@ -28,7 +28,10 @@ of one form: f^k K with K in ker(D^k), 1 <= k <= d, for a factor f and
 a derivation D per root, (1 - x^coroot, d_alpha) per positive root here
 and (x_i - x_j, d/dy_i - d/dy_j) per pair i < j there.
 `_derivation_relations` builds both, and `derivation_kernel` writes
-ker(D^k) down in closed form instead of solving for it.
+ker(D^k) down in closed form instead of solving for it. `curves` reads
+`_shift_rows` too: `curves.quotient_table` builds the curve relation
+slices on the ring of the x_j - x_1 and y_j, and past x-degree d it
+shifts each slice's rows instead of spanning generators.
 
 Every other slice spanned by polynomial generators goes through
 `_generated_slice`. It takes generator families and builds the

@@ -17,28 +17,36 @@ The conjectural algebraic side is the quotient of Q[x, y] by
 sum over pairs and 1 <= k <= d of (x_i - x_j)^k ker(d_i - d_j)^k, whose
 relations `arrangement._derivation_relations` builds as it does those of the
 lattice homology quotient. Its slices are computed in the ordinary
-bigrading (x-degree, y-degree). The curve bigrading deg x = (1, 0),
-deg y = (1, 2) applies only when the slice dimensions are compared with
-a series under L -> t^2: the curve slice (q, t) is the ordinary slice
-(q - t/2, t/2), empty when t is odd or t > 2q.
+bigrading (x-degree, y-degree). `quotient_table` builds them on R' =
+Q[x'_2..x'_n, y_1..y_n], x'_j = x_j - x_1, where the relations live: the
+dimension at x-degree a sums the reduced ones at x'-degrees a' <= a, and
+past x-degree d each reduced slice is the one below it shifted by
+x'_2..x'_n (both proved there). `quotient_relations_slice` and
+`quotient_hilbert_slice` stay on the full ring as the reference. The
+curve bigrading deg x = (1, 0), deg y = (1, 2) applies only when the
+slice dimensions are compared with a series under L -> t^2: the curve
+slice (q, t) is the ordinary slice (q - t/2, t/2), empty when t is odd
+or t > 2q.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from .arrangement import (
+    SliceResult,
     _derivation_relations,
     _generated_slice,
+    _shift_rows,
     _xy_slice,
     derivation_kernel,
     xy_ring,
 )
-from .linalg import Subspace
+from .linalg import SliceBasis, Subspace
 from .rationals import rat
-from .rings import MultiPoly, Ring, ring
+from .rings import Grading, MultiPoly, Ring, grading_for, ring, slice_monomials
 from .series import RationalSeries, equal_up_to_monomial
 
 QL_RING = ring(["q", "L"])
@@ -270,42 +278,113 @@ def pair_diff_kernel(n: int, i: int, j: int, k: int, ydeg: int) -> list[MultiPol
     return derivation_kernel(rg, rg.names[n:], {f"y{i}": 1, f"y{j}": -1}, k, ydeg)
 
 
-def _relation_family(n: int, d: int, ydeg: int, xmax: int) -> list:
+def _check_power(d: int) -> None:
+    if d < 0:
+        raise ValueError(f"power d must be >= 0, got {d}")
+
+
+def _relation_family(rg: Ring, n: int, kmax: int, ydeg: int) -> list:
     """Relation generators (x_i - x_j)^k K of y-degree ydeg and x-degree
-    k <= min(d, xmax), K in ker(d/dy_i - d/dy_j)^k, over pairs i < j."""
-    rg = xy_ring(n)
+    k <= kmax, K in ker(d/dy_i - d/dy_j)^k, over pairs i < j, in rg. An
+    x_i that rg does not hold is 0: on R' the pair (1, j) has the factor
+    -x'_j."""
+    xs = [
+        MultiPoly.gen(rg, f"x{i}") if f"x{i}" in rg.names else MultiPoly.zero(rg)
+        for i in range(1, n + 1)
+    ]
     pairs = [
-        (MultiPoly.gen(rg, f"x{i}") - MultiPoly.gen(rg, f"x{j}"), {f"y{i}": 1, f"y{j}": -1})
+        (xs[i - 1] - xs[j - 1], {f"y{i}": 1, f"y{j}": -1})
         for i, j in itertools.combinations(range(1, n + 1), 2)
     ]
-    relations = _derivation_relations(rg, rg.names[n:], pairs, min(d, xmax), ydeg)
+    relations = _derivation_relations(rg, rg.names[-n:], pairs, kmax, ydeg)
     return [(rel, (k, ydeg)) for k, rel in relations]
 
 
-def _relation_slice(n: int, deg: tuple[int, int], family: list) -> Subspace:
-    """Span of a relation family at one ordinary bidegree (x-degree,
-    y-degree); generators of higher x-degree contribute nothing."""
-    rg, grading, basis = _xy_slice(n, deg)
-    return _generated_slice(rg, grading, deg, basis, [family]).space
-
-
 def quotient_relations_slice(n: int, d: int, deg: tuple[int, int]) -> Subspace:
-    """Relation subspace at one curve bidegree (q-degree, t-degree).
+    """Relation subspace at one curve bidegree (q-degree, t-degree), on
+    the full ring Q[x, y]: the reference for `quotient_table`.
 
     That is the ordinary slice (q - t/2, t/2); it is empty (no columns)
     when t is odd or t > 2q.
     """
+    _check_power(d)
     ydeg, odd = divmod(deg[1], 2)
     if odd or not 0 <= ydeg <= deg[0]:
         return Subspace(0)
     xdeg = deg[0] - ydeg
-    return _relation_slice(n, (xdeg, ydeg), _relation_family(n, d, ydeg, xdeg))
+    rg, grading, basis = _xy_slice(n, (xdeg, ydeg))
+    family = _relation_family(rg, n, min(d, xdeg), ydeg)
+    return _generated_slice(rg, grading, (xdeg, ydeg), basis, [family]).space
 
 
 def quotient_hilbert_slice(n: int, d: int, deg: tuple[int, int]) -> int:
     """Dimension of the conjectural quotient at one curve bidegree."""
     rel = quotient_relations_slice(n, d, deg)
     return rel.ncols - rel.rank
+
+
+def _reduced_ring(n: int) -> tuple[Ring, Grading]:
+    """R' = Q[x'_2..x'_n, y_1..y_n], its variables named x2..xn, y1..yn,
+    bigraded by (x-degree, y-degree)."""
+    rg = ring([f"x{j}" for j in range(2, n + 1)] + [f"y{j}" for j in range(1, n + 1)])
+    return rg, grading_for(rg, {name: (1, 0) if name[0] == "x" else (0, 1) for name in rg.names})
+
+
+def _reduced_slices(n: int, d: int, order: int) -> Iterator[tuple[tuple[int, int], SliceResult]]:
+    """The relation slice I'(a, b) on R' at every a + b <= order, the
+    y-degree b outermost: spanned from the generators at a <= d, and
+    shifted by x'_2..x'_n from I'(a - 1, b) past it (see `quotient_table`)."""
+    rg, grading = _reduced_ring(n)
+    for b in range(order + 1):
+        family = _relation_family(rg, n, min(d, order - b), b)
+        for a in range(order + 1 - b):
+            basis = SliceBasis(slice_monomials(rg, grading, (a, b)))
+            if a <= d:
+                cur = _generated_slice(rg, grading, (a, b), basis, [family])
+            else:
+                cur = SliceResult(basis, Subspace(len(basis)), rg)
+                for j in range(2, n + 1):
+                    cur.space.extend(_shift_rows(prev, cur, f"x{j}"))
+            yield (a, b), cur
+            prev = cur
+
+
+def quotient_table(n: int, d: int, order: int) -> dict[tuple[int, int], int]:
+    """Dimension of the conjectural quotient at every curve bidegree (N, M)
+    with N <= order and M <= 2N, in (N, M) order: the numbers of
+    `quotient_hilbert_slice`, built on the reduced ring.
+
+    The relations of y-degree b are the Q[x]-span I of the generators
+    (x_i - x_j)^k K, K in ker(d/dy_i - d/dy_j)^k of degree b, and the
+    curve bidegree (N, M) is the ordinary (a, b) = (N - M/2, M/2). The
+    table is built on R' = Q[x'_2..x'_n, y_1..y_n] with x'_j = x_j - x_1
+    and x'_1 = 0, where each generator keeps its form (x'_i - x'_j)^k K.
+
+    Prefix sum. Every generator lies in R', and Q[x, y] = R'[x_1] with
+    Q[x] = Q[x'][x_1] free over Q[x'] on the powers of x_1. So the
+    Q[x]-span of the generators is I = I'[x_1], the direct sum of
+    x_1^e I' over e >= 0, with I' their Q[x']-span. In bidegree (a, b),
+    Q[x, y](a, b) / I(a, b) is the direct sum over a' <= a of x_1^(a -
+    a') (R'(a', b) / I'(a', b)), so its dimension is the sum over a' <=
+    a of the reduced dimensions at (a', b).
+
+    x-shift. I'(a, b) is spanned by the products m g of the generators g
+    of x-degree k with the monomials m of degree a - k in x'. Every
+    generator has k <= d, so for a > d each such m has degree >= 1 and
+    is x'_j m' with m' of degree a - 1 - k: I'(a, b) is the sum over j of
+    x'_j I'(a - 1, b). The echelon rows of I'(a - 1, b) span it, so their
+    shifts by x'_2..x'_n span I'(a, b), with no generator products. At a
+    <= d the generators of x-degree a are new, and the slice is spanned
+    from the generators.
+    """
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    _check_power(d)
+    dims: dict[tuple[int, int], int] = {}
+    for (a, b), s in _reduced_slices(n, d, order):
+        below = dims[(a + b - 1, 2 * b)] if a else 0
+        dims[(a + b, 2 * b)] = below + s.quotient_dim
+    return {(N, M): dims.get((N, M), 0) for N in range(order + 1) for M in range(2 * N + 1)}
 
 
 @dataclass
@@ -333,12 +412,12 @@ def conjecture_vs_msv(n: int, d: int, order: int = 6) -> ConjectureReport:
     The series substitutes L -> t^2; every bidegree (N, M) with N <=
     order and M <= 2N is compared. Mismatches are collected, not raised.
 
+    The dimensions are `quotient_table`'s: the relations live on R' =
+    Q[x'_2..x'_n, y_1..y_n], x'_j = x_j - x_1, the reduced dimensions at
+    x'-degrees a' <= a are summed into the one at x-degree a, and past
+    x-degree d each reduced slice is the previous one shifted by x'_2..x'_n.
     The slice at (N, M) is the ordinary slice (N - M/2, M/2), and empty at
-    odd M. The relations depend on N only through which generators fit,
-    so the y-degree runs outside: its relation family is built once, with
-    every generator some N <= order can hold, and spanned at each N. Only
-    one family is alive at a time; table and mismatches are then filled
-    in (N, M) order.
+    odd M. Table and mismatches are filled in (N, M) order.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -346,21 +425,12 @@ def conjecture_vs_msv(n: int, d: int, order: int = 6) -> ConjectureReport:
     in_t = series.map_monomials([[1, 0], [0, 2]], QT_RING)
     expansion = in_t.expand(order, ["q"]).terms
     report = ConjectureReport(n=n, d=d, order=order, reference_name=name, ok=True)
-    dims = {}
-    for ydeg in range(order + 1):
-        family = _relation_family(n, d, ydeg, order - ydeg)
-        for N in range(ydeg, order + 1):
-            rel = _relation_slice(n, (N - ydeg, ydeg), family)
-            dims[(N, 2 * ydeg)] = rel.ncols - rel.rank
-        del family
-    for N in range(order + 1):
-        for M in range(2 * N + 1):
-            dim = dims.get((N, M), 0)
-            coeff = expansion.get((N, M), rat(0))
-            if dim:
-                report.table[(N, M)] = dim
-            if coeff != dim:
-                report.ok = False
-                report.mismatches.append(((N, M), str(coeff), dim))
+    for deg, dim in quotient_table(n, d, order).items():
+        coeff = expansion.get(deg, rat(0))
+        if dim:
+            report.table[deg] = dim
+        if coeff != dim:
+            report.ok = False
+            report.mismatches.append((deg, str(coeff), dim))
     return report
 

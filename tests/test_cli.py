@@ -689,6 +689,23 @@ def _assert_pinned(capsys, command, expected_code, digests):
         assert hashlib.sha256(out.encode()).hexdigest() == expected, (command, fmt)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("--n 2 --d 1 --order -1", "order must be >= 0, got -1"),
+        ("--n 1 --d -1 --order -1", "order must be >= 0, got -1"),
+        ("--n 1", "no curve series pinned for (n, d) = (1, 1)"),
+        ("--n 2 --d 0", "no curve series pinned for (n, d) = (2, 0)"),
+        ("--n 2 --d -1", "no curve series pinned for (n, d) = (2, -1)"),
+    ],
+)
+def test_conjecture_check_rejections_keep_their_order(capsys, argv, message):
+    # the order is checked first, then the pinned curve, then the power
+    assert cli.main(["conjecture-check", *argv.split()]) == 64
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"gkmslice: error: {message}\n")
+
+
 @pytest.mark.parametrize("command", list(REPORT_DIGESTS))
 def test_report_stdout_and_exit_code_are_pinned(capsys, command):
     _assert_pinned(capsys, command, *REPORT_DIGESTS[command])

@@ -3,6 +3,7 @@
 import pytest
 
 from gkmslice import curves
+from gkmslice.arrangement import _generated_slice
 from gkmslice.curves import (
     QL_RING,
     conjecture_vs_msv,
@@ -14,6 +15,8 @@ from gkmslice.curves import (
     pair_diff_kernel,
     punctual_series,
     quotient_hilbert_slice,
+    quotient_relations_slice,
+    quotient_table,
     tacnode_closed_form,
     tacnode_spec,
     three_lines_closed_form,
@@ -122,6 +125,44 @@ def test_conjecture_table_is_the_quotient_slices_in_order(n, d, monkeypatch):
     zero = conjecture_vs_msv(n, d, order=5)
     assert [deg for deg, _, _ in zero.mismatches] == list(expected)
     assert [dim for _, _, dim in zero.mismatches] == list(expected.values())
+
+
+@pytest.mark.parametrize("n,d,order", [(2, 1, 8), (2, 2, 8), (3, 1, 8), (3, 2, 6), (4, 1, 5)])
+def test_quotient_table_is_the_full_ring_quotient(n, d, order):
+    # (3, 2) and (4, 1) have no pinned curve, so only this reaches them
+    expected = {
+        (N, M): quotient_hilbert_slice(n, d, (N, M))
+        for N in range(order + 1)
+        for M in range(2 * N + 1)
+    }
+    table = quotient_table(n, d, order)
+    assert table == expected
+    assert list(table) == list(expected)
+
+
+@pytest.mark.parametrize("n,d,order", [(2, 1, 6), (3, 1, 6), (2, 2, 6), (3, 2, 5)])
+def test_shifted_reduced_slices_are_the_generated_ones(n, d, order):
+    rg, grading = curves._reduced_ring(n)
+    shifted = 0
+    for (a, b), s in curves._reduced_slices(n, d, order):
+        if a <= d:
+            continue
+        family = curves._relation_family(rg, n, d, b)
+        assert s.space == _generated_slice(rg, grading, (a, b), s.basis, [family]).space
+        shifted += s.rank > 0
+    assert shifted
+
+
+def test_quotient_functions_reject_a_negative_power_or_order():
+    with pytest.raises(ValueError, match=r"^power d must be >= 0, got -1$"):
+        quotient_relations_slice(2, -1, (2, 2))
+    with pytest.raises(ValueError, match=r"^power d must be >= 0, got -1$"):
+        quotient_hilbert_slice(2, -1, (2, 2))
+    with pytest.raises(ValueError, match=r"^power d must be >= 0, got -1$"):
+        quotient_table(2, -1, 4)
+    with pytest.raises(ValueError, match=r"^order must be >= 0, got -1$"):
+        quotient_table(2, 1, -1)
+    assert quotient_table(2, 1, 0) == {(0, 0): 1}
 
 
 def test_conjecture_rejects_unknown_pair():
