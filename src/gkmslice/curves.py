@@ -278,7 +278,9 @@ def pair_diff_kernel(n: int, i: int, j: int, k: int, ydeg: int) -> list[MultiPol
     return derivation_kernel(rg, rg.names[n:], {f"y{i}": 1, f"y{j}": -1}, k, ydeg)
 
 
-def _check_power(d: int) -> None:
+def _check_domain(n: int, d: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if d < 0:
         raise ValueError(f"power d must be >= 0, got {d}")
 
@@ -307,7 +309,7 @@ def quotient_relations_slice(n: int, d: int, deg: tuple[int, int]) -> Subspace:
     That is the ordinary slice (q - t/2, t/2); it is empty (no columns)
     when t is odd or t > 2q.
     """
-    _check_power(d)
+    _check_domain(n, d)
     ydeg, odd = divmod(deg[1], 2)
     if odd or not 0 <= ydeg <= deg[0]:
         return Subspace(0)
@@ -372,14 +374,14 @@ def quotient_table(n: int, d: int, order: int) -> dict[tuple[int, int], int]:
     of x-degree k with the monomials m of degree a - k in x'. Every
     generator has k <= d, so for a > d each such m has degree >= 1 and
     is x'_j m' with m' of degree a - 1 - k: I'(a, b) is the sum over j of
-    x'_j I'(a - 1, b). The echelon rows of I'(a - 1, b) span it, so their
-    shifts by x'_2..x'_n span I'(a, b), with no generator products. At a
-    <= d the generators of x-degree a are new, and the slice is spanned
-    from the generators.
+    x'_j I'(a - 1, b). The echelon rows of I'(a - 1, b) span that slice,
+    so their shifts by x'_2..x'_n span I'(a, b), with no generator
+    products. At a <= d the generators of x-degree a are new, and the
+    slice is spanned from the generators.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    _check_power(d)
+    _check_domain(n, d)
     dims: dict[tuple[int, int], int] = {}
     for (a, b), s in _reduced_slices(n, d, order):
         below = dims[(a + b - 1, 2 * b)] if a else 0

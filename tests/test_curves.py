@@ -127,9 +127,12 @@ def test_conjecture_table_is_the_quotient_slices_in_order(n, d, monkeypatch):
     assert [dim for _, _, dim in zero.mismatches] == list(expected.values())
 
 
-@pytest.mark.parametrize("n,d,order", [(2, 1, 8), (2, 2, 8), (3, 1, 8), (3, 2, 6), (4, 1, 5)])
+@pytest.mark.parametrize(
+    "n,d,order", [(2, 1, 8), (2, 2, 8), (3, 1, 8), (3, 2, 6), (4, 1, 5), (1, 1, 4), (3, 0, 4)]
+)
 def test_quotient_table_is_the_full_ring_quotient(n, d, order):
-    # (3, 2) and (4, 1) have no pinned curve, so only this reaches them
+    # (3, 2) and (4, 1) have no pinned curve, so only this reaches them;
+    # n = 1 has no x' and d = 0 no relation
     expected = {
         (N, M): quotient_hilbert_slice(n, d, (N, M))
         for N in range(order + 1)
@@ -153,7 +156,11 @@ def test_shifted_reduced_slices_are_the_generated_ones(n, d, order):
     assert shifted
 
 
-def test_quotient_functions_reject_a_negative_power_or_order():
+def test_quotient_functions_reject_inputs_outside_the_domain():
+    with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
+        quotient_hilbert_slice(0, 1, (0, 0))
+    with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
+        quotient_table(0, 1, 2)
     with pytest.raises(ValueError, match=r"^power d must be >= 0, got -1$"):
         quotient_relations_slice(2, -1, (2, 2))
     with pytest.raises(ValueError, match=r"^power d must be >= 0, got -1$"):
