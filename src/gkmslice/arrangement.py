@@ -30,23 +30,24 @@ and (x_i - x_j, d/dy_i - d/dy_j) per pair i < j there.
 `_derivation_relations` builds both, and `derivation_kernel` writes
 ker(D^k) down in closed form instead of solving for it. `curves` reads
 `_shift_rows` too: `curves.quotient_table` builds the curve relation
-slices on the ring of the x_j - x_1 and y_j, and past x-degree d it
-shifts each slice's rows instead of spanning generators.
+slice at x-degree a from the one at a - 1 shifted by each x_j - x_1,
+and the generators of x-degree a.
 
+The polynomial slices of both sides live on rings from `bigraded_ring`.
 Every other slice spanned by polynomial generators goes through
-`_generated_slice`. It takes generator families and builds the
-intersection of their spans over one ambient basis: each generator
-times the monomials of the remaining degree, from one multiplier table
-that all families share, read off the ambient basis by shifting the
-generator's exponents. Each family's rows are eliminated into one
-subspace, and `linalg.intersect_subspaces` intersects the spans when
-there are several. The pair ideal intersection is one family per pair;
-every other slice is a single family. The windowed slices read
-generator products the same way, one family per positive root for the
-root ideal intersection and one family of relations for the homology
-quotient. The rank-one flag module's generators are not polynomials,
-so `flag_rank1_module_slice` writes their rows on the (level, coset)
-keys by hand.
+`_generated_slice`. It lists the monomials of one bidegree as the basis
+and builds the intersection of the spans of generator families on it:
+each generator times the monomials of the remaining degree, from one
+multiplier table that all families share, read off the basis by
+shifting the generator's exponents. Each family's rows are eliminated
+into one subspace, and `linalg.intersect_subspaces` intersects the
+spans when there are several. The pair ideal intersection is one
+family per ideal; every other slice is a single family. The windowed
+slices read generator products the same way, one family per positive
+root for the root ideal intersection and one family of relations for
+the homology quotient. The rank-one flag module's generators are not
+polynomials, so `flag_rank1_module_slice` writes their rows on the
+(level, coset) keys by hand.
 """
 
 from __future__ import annotations
@@ -74,24 +75,17 @@ from .rootdata import RootDatum
 # ---- type A ring helpers ----
 
 
+def bigraded_ring(xs: Iterable[int], ys: Iterable[int]) -> tuple[Ring, Grading]:
+    """The ring of x_i, i in xs, and y_j, j in ys (named xi, yj), bigraded by
+    (x-degree, y-degree): the full ring for xs = ys = 1..n, the type A
+    reduced ring for xs = ys = 2..n, the curve ring for xs = 2..n, ys = 1..n."""
+    weights = {f"x{i}": (1, 0) for i in xs} | {f"y{j}": (0, 1) for j in ys}
+    rg = ring(list(weights))
+    return rg, grading_for(rg, weights)
+
+
 def xy_ring(n: int) -> Ring:
-    return ring([f"x{i+1}" for i in range(n)] + [f"y{i+1}" for i in range(n)])
-
-
-def xy_grading(n: int) -> Grading:
-    """The bigrading by (x-degree, y-degree): deg x_i = (1,0), deg y_i = (0,1)."""
-    table = {}
-    for i in range(n):
-        table[f"x{i+1}"] = (1, 0)
-        table[f"y{i+1}"] = (0, 1)
-    return grading_for(xy_ring(n), table)
-
-
-def _xy_slice(n: int, deg: tuple[int, int]) -> tuple[Ring, Grading, SliceBasis]:
-    """The diagonal ring, its grading and the monomial basis at deg."""
-    rg = xy_ring(n)
-    grading = xy_grading(n)
-    return rg, grading, SliceBasis(slice_monomials(rg, grading, deg))
+    return bigraded_ring(range(1, n + 1), range(1, n + 1))[0]
 
 
 @dataclass
@@ -147,26 +141,23 @@ def _integer_terms(gen: MultiPoly) -> tuple[list[Exp], list[int]]:
 
 
 def _generated_slice(
-    rg: Ring,
-    grading: Grading,
-    deg: tuple[int, int],
-    ambient: SliceBasis,
-    families: Iterable[Family],
+    rg: Ring, grading: Grading, deg: tuple[int, int], families: Iterable[Family]
 ) -> SliceResult:
     """Intersection over families of the span of generator * monomial at deg.
 
-    Each generator comes with its degree and is multiplied by every
-    monomial of the remaining degree; the monomials of each remaining
-    degree are listed once for all families. A generator's denominators
+    The basis is the monomials of degree deg. Each generator comes with
+    its degree and is multiplied by every monomial of the remaining
+    degree, listed once for all families. A generator's denominators
     are cleared once, and a product is its integer terms with the
-    exponents shifted by the monomial, so its row is read off the
-    ambient index directly; every product must lie in the ambient basis
-    (KeyError otherwise). Each family's rows are eliminated into one
-    subspace in the order they are made; the spans of several families
-    are intersected.
+    exponents shifted by the monomial, so its row is read off the basis
+    index directly; a generator with a wrong degree makes a product
+    outside the basis (KeyError). Each family's rows are eliminated into
+    one subspace in the order they are made; the spans of several
+    families are intersected.
     """
+    basis = SliceBasis(slice_monomials(rg, grading, deg))
     multipliers: dict[tuple[int, int], list[Exp]] = {}
-    index = ambient.index
+    index = basis.index
 
     def rows(family: Family):
         for gen, gdeg in family:
@@ -177,18 +168,15 @@ def _generated_slice(
                 multipliers[rem] = slice_monomials(rg, grading, rem)
             exps, coeffs = _integer_terms(gen)
             for m in multipliers[rem]:
-                cols = [index.get(tuple(map(add, e, m))) for e in exps]
-                if None in cols:
-                    raise KeyError(f"product of {gen} and {m} outside slice basis")
-                yield dict(zip(cols, coeffs))
+                yield {index[tuple(map(add, e, m))]: c for e, c in zip(exps, coeffs)}
 
     parts = []
     for family in families:
-        parts.append(Subspace(len(ambient)))
+        parts.append(Subspace(len(basis)))
         for row in rows(family):
             parts[-1]._add(row)
     space = parts[0] if len(parts) == 1 else intersect_subspaces(*parts)
-    return SliceResult(ambient, space, rg)
+    return SliceResult(basis, space, rg)
 
 
 def _shift_rows(src: SliceResult, dst: SliceResult, var: str) -> Iterable[Row]:
@@ -218,21 +206,26 @@ def pair_ideal_slice(n: int, pair: tuple[int, int], d: int, deg: tuple[int, int]
     i, j = pair
     if not (1 <= i < j <= n):
         raise ValueError("pair must satisfy 1 <= i < j <= n")
-    rg, grading, basis = _xy_slice(n, deg)
-    return _generated_slice(rg, grading, deg, basis, [_pair_family(rg, i, j, d)])
+    _check_power(d)
+    rg, grading = bigraded_ring(range(1, n + 1), range(1, n + 1))
+    return _generated_slice(rg, grading, deg, [_pair_family(rg, i, j, d)])
 
 
 def full_slice(n: int, deg: tuple[int, int]) -> SliceResult:
-    rg, grading, basis = _xy_slice(n, deg)
-    return _generated_slice(rg, grading, deg, basis, [[(MultiPoly.one(rg), (0, 0))]])
+    rg, grading = bigraded_ring(range(1, n + 1), range(1, n + 1))
+    return _generated_slice(rg, grading, deg, [[(MultiPoly.one(rg), (0, 0))]])
+
+
+def _check_power(d: int) -> None:
+    if d < 0:
+        raise ValueError(f"power d must be >= 0, got {d}")
 
 
 def _check_jd(n: int, d: int, method: str) -> None:
     if n < 2:
         raise ValueError(f"n must be at least 2 (one pair of points), got {n}")
-    if d < 0:
-        raise ValueError(f"power d must be >= 0, got {d}")
-    if d and method not in ("spanning", "vanishing"):
+    _check_power(d)
+    if method not in ("spanning", "vanishing"):
         raise ValueError(f"unknown method {method!r}")
 
 
@@ -248,11 +241,11 @@ def jd_slice(n: int, d: int, deg: tuple[int, int], method: str = "spanning") -> 
         return full_slice(n, deg)
     if method == "vanishing":
         return vanishing_slice(n, d, deg)
-    rg, grading, basis = _xy_slice(n, deg)
+    rg, grading = bigraded_ring(range(1, n + 1), range(1, n + 1))
     families = [
         _pair_family(rg, i, j, d) for i, j in itertools.combinations(range(1, n + 1), 2)
     ]
-    return _generated_slice(rg, grading, deg, basis, families)
+    return _generated_slice(rg, grading, deg, families)
 
 
 # ---- order-of-vanishing oracle along pairwise diagonals ----
@@ -270,6 +263,7 @@ def symbolic_power_oracle(f: MultiPoly, n: int, d: int) -> bool:
     """
     if f.ring != xy_ring(n):
         raise ValueError("oracle expects the n-variable diagonal ring")
+    _check_power(d)
     if d == 0:
         return True
     ext = ring(f.ring.names + ("u", "v"))  # u, v are the last two exponents
@@ -314,8 +308,10 @@ def _vanishing(
 
 def vanishing_slice(n: int, d: int, deg: tuple[int, int]) -> SliceResult:
     """Subspace cut out by the oracle's linear conditions at one bidegree."""
-    rg, _, basis = _xy_slice(n, deg)
-    return _vanishing(rg, basis.keys, itertools.combinations(range(1, n + 1), 2), d)
+    _check_power(d)
+    rg, grading = bigraded_ring(range(1, n + 1), range(1, n + 1))
+    keys = slice_monomials(rg, grading, deg)
+    return _vanishing(rg, keys, itertools.combinations(range(1, n + 1), 2), d)
 
 
 # ---- alternants (type A: simultaneous permutation of x and y) ----
@@ -357,7 +353,7 @@ def alternant(n: int, exp: Exp) -> MultiPoly:
 
 def alternant_basis(n: int, deg: tuple[int, int]) -> list[MultiPoly]:
     """Independent alternants spanning the sign-isotypic part of one slice."""
-    _, _, basis = _xy_slice(n, deg)
+    basis = SliceBasis(slice_monomials(*bigraded_ring(range(1, n + 1), range(1, n + 1)), deg))
     space = Subspace(len(basis))
     out = []
     for exp in basis.keys:
@@ -375,9 +371,10 @@ def alternant_slice(n: int, d: int, deg: tuple[int, int]) -> SliceResult:
     A d-fold combination whose summed bidegree exceeds deg is skipped
     before its product is formed.
     """
+    _check_power(d)
     if d == 0:
         return full_slice(n, deg)
-    rg, grading, basis = _xy_slice(n, deg)
+    rg, grading = bigraded_ring(range(1, n + 1), range(1, n + 1))
     pool = [
         (p, (a, b))
         for a in range(deg[0] + 1)
@@ -396,7 +393,7 @@ def alternant_slice(n: int, d: int, deg: tuple[int, int]) -> SliceResult:
                 prod = prod * p
             yield prod, pdeg
 
-    return _generated_slice(rg, grading, deg, basis, [products()])
+    return _generated_slice(rg, grading, deg, [products()])
 
 
 # ---- the translation-reduced ring: one table for jd-series and catalan ----
@@ -427,8 +424,7 @@ def _reduced_table(n: int, d: int, top: int, method: str) -> dict[tuple[int, int
     vanishing conditions of the pairs 2 <= i < j only.
     """
     _check_jd(n, d, method)
-    rg = ring([f"x{j}" for j in range(2, n + 1)] + [f"y{j}" for j in range(2, n + 1)])
-    grading = grading_for(rg, {name: (1, 0) if name[0] == "x" else (0, 1) for name in rg.names})
+    rg, grading = bigraded_ring(range(2, n + 1), range(2, n + 1))
     pairs = list(itertools.combinations(range(2, n + 1), 2))
     if d == 0:
         families = [[(MultiPoly.one(rg), (0, 0))]]
@@ -441,12 +437,12 @@ def _reduced_table(n: int, d: int, top: int, method: str) -> dict[tuple[int, int
     table = {}
     for a in range(top + 1):
         for b in range(top + 1 - a):
-            keys = slice_monomials(rg, grading, (a, b))
             if d and method == "vanishing":
+                keys = slice_monomials(rg, grading, (a, b))
                 keys = [e for e in keys if all(e[k] + e[k + n - 1] >= d for k in range(n - 1))]
                 table[(a, b)] = _vanishing(rg, keys, pairs, d)
             else:
-                table[(a, b)] = _generated_slice(rg, grading, (a, b), SliceBasis(keys), families)
+                table[(a, b)] = _generated_slice(rg, grading, (a, b), families)
     return table
 
 
@@ -454,6 +450,8 @@ def jd_dimensions(n: int, d: int, maxdeg: int, method: str) -> dict[tuple[int, i
     """dim J^d(a, b) for every a + b <= maxdeg, as two-dimensional prefix
     sums of the ranks of `_reduced_table` (the rank of `jd_slice` at
     (a, b))."""
+    if maxdeg < 0:
+        raise ValueError(f"maxdeg must be >= 0, got {maxdeg}")
     dims: dict[tuple[int, int], int] = {}
     for (a, b), s in _reduced_table(n, d, maxdeg, method).items():
         below = dims.get((a - 1, b), 0) + dims.get((a, b - 1), 0) - dims.get((a - 1, b - 1), 0)
@@ -742,8 +740,7 @@ def _check_lattice_degrees(
 ) -> None:
     if len(bounds) != rd.rank:
         raise ValueError(f"need {rd.rank} window bounds, got {len(bounds)}")
-    if d < 0:
-        raise ValueError(f"power d must be >= 0, got {d}")
+    _check_power(d)
     if ydeg < 0:
         raise ValueError(f"y-degree must be >= 0, got {ydeg}")
 

@@ -20,13 +20,13 @@ lattice homology quotient. Its slices are computed in the ordinary
 bigrading (x-degree, y-degree). `quotient_table` builds them on R' =
 Q[x'_2..x'_n, y_1..y_n], x'_j = x_j - x_1, where the relations live: the
 dimension at x-degree a sums the reduced ones at x'-degrees a' <= a, and
-past x-degree d each reduced slice is the one below it shifted by
-x'_2..x'_n (both proved there). `quotient_relations_slice` and
-`quotient_hilbert_slice` stay on the full ring as the reference. The
-curve bigrading deg x = (1, 0), deg y = (1, 2) applies only when the
-slice dimensions are compared with a series under L -> t^2: the curve
-slice (q, t) is the ordinary slice (q - t/2, t/2), empty when t is odd
-or t > 2q.
+each reduced slice is the one below it shifted by x'_2..x'_n plus the
+generators of x-degree exactly a (both proved there).
+`quotient_relations_slice` and `quotient_hilbert_slice` stay on the full
+ring as the reference. The curve bigrading deg x = (1, 0), deg y = (1,
+2) applies only when the slice dimensions are compared with a series
+under L -> t^2: the curve slice (q, t) is the ordinary slice (q - t/2,
+t/2), empty when t is odd or t > 2q.
 """
 
 from __future__ import annotations
@@ -37,16 +37,17 @@ from typing import Callable, Iterator
 
 from .arrangement import (
     SliceResult,
+    _check_power,
     _derivation_relations,
     _generated_slice,
     _shift_rows,
-    _xy_slice,
+    bigraded_ring,
     derivation_kernel,
     xy_ring,
 )
 from .linalg import SliceBasis, Subspace
 from .rationals import rat
-from .rings import Grading, MultiPoly, Ring, grading_for, ring, slice_monomials
+from .rings import MultiPoly, Ring, ring, slice_monomials
 from .series import RationalSeries, equal_up_to_monomial
 
 QL_RING = ring(["q", "L"])
@@ -281,8 +282,7 @@ def pair_diff_kernel(n: int, i: int, j: int, k: int, ydeg: int) -> list[MultiPol
 def _check_domain(n: int, d: int) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if d < 0:
-        raise ValueError(f"power d must be >= 0, got {d}")
+    _check_power(d)
 
 
 def _relation_family(rg: Ring, n: int, kmax: int, ydeg: int) -> list:
@@ -314,9 +314,9 @@ def quotient_relations_slice(n: int, d: int, deg: tuple[int, int]) -> Subspace:
     if odd or not 0 <= ydeg <= deg[0]:
         return Subspace(0)
     xdeg = deg[0] - ydeg
-    rg, grading, basis = _xy_slice(n, (xdeg, ydeg))
+    rg, grading = bigraded_ring(range(1, n + 1), range(1, n + 1))
     family = _relation_family(rg, n, min(d, xdeg), ydeg)
-    return _generated_slice(rg, grading, (xdeg, ydeg), basis, [family]).space
+    return _generated_slice(rg, grading, (xdeg, ydeg), [family]).space
 
 
 def quotient_hilbert_slice(n: int, d: int, deg: tuple[int, int]) -> int:
@@ -325,28 +325,20 @@ def quotient_hilbert_slice(n: int, d: int, deg: tuple[int, int]) -> int:
     return rel.ncols - rel.rank
 
 
-def _reduced_ring(n: int) -> tuple[Ring, Grading]:
-    """R' = Q[x'_2..x'_n, y_1..y_n], its variables named x2..xn, y1..yn,
-    bigraded by (x-degree, y-degree)."""
-    rg = ring([f"x{j}" for j in range(2, n + 1)] + [f"y{j}" for j in range(1, n + 1)])
-    return rg, grading_for(rg, {name: (1, 0) if name[0] == "x" else (0, 1) for name in rg.names})
-
-
 def _reduced_slices(n: int, d: int, order: int) -> Iterator[tuple[tuple[int, int], SliceResult]]:
-    """The relation slice I'(a, b) on R' at every a + b <= order, the
-    y-degree b outermost: spanned from the generators at a <= d, and
-    shifted by x'_2..x'_n from I'(a - 1, b) past it (see `quotient_table`)."""
-    rg, grading = _reduced_ring(n)
+    """The relation slice I'(a, b) on R' = Q[x'_2..x'_n, y_1..y_n] at
+    every a + b <= order, the y-degree b outermost: I'(a - 1, b) shifted
+    by x'_2..x'_n, and the generators of x-degree a (see `quotient_table`)."""
+    rg, grading = bigraded_ring(range(2, n + 1), range(1, n + 1))
     for b in range(order + 1):
         family = _relation_family(rg, n, min(d, order - b), b)
         for a in range(order + 1 - b):
             basis = SliceBasis(slice_monomials(rg, grading, (a, b)))
-            if a <= d:
-                cur = _generated_slice(rg, grading, (a, b), basis, [family])
-            else:
-                cur = SliceResult(basis, Subspace(len(basis)), rg)
+            cur = SliceResult(basis, Subspace(len(basis)), rg)
+            if a:
                 for j in range(2, n + 1):
                     cur.space.extend(_shift_rows(prev, cur, f"x{j}"))
+            cur.space.extend(basis.vector_from_poly(g) for g, (k, _) in family if k == a)
             yield (a, b), cur
             prev = cur
 
@@ -370,14 +362,14 @@ def quotient_table(n: int, d: int, order: int) -> dict[tuple[int, int], int]:
     a') (R'(a', b) / I'(a', b)), so its dimension is the sum over a' <=
     a of the reduced dimensions at (a', b).
 
-    x-shift. I'(a, b) is spanned by the products m g of the generators g
-    of x-degree k with the monomials m of degree a - k in x'. Every
-    generator has k <= d, so for a > d each such m has degree >= 1 and
-    is x'_j m' with m' of degree a - 1 - k: I'(a, b) is the sum over j of
-    x'_j I'(a - 1, b). The echelon rows of I'(a - 1, b) span that slice,
-    so their shifts by x'_2..x'_n span I'(a, b), with no generator
-    products. At a <= d the generators of x-degree a are new, and the
-    slice is spanned from the generators.
+    x-shift. I'(a, b) is the sum of the x'_j I'(a - 1, b) and the span of
+    the generators of x-degree exactly a (none past d). The sum lies in
+    the Q[x']-module I', and I'(a, b) is spanned by the products m g of
+    the generators g of x-degree k with the monomials m of degree a - k
+    in x'. If k < a, m = x'_j m' with m' of degree a - 1 - k, so m g lies
+    in x'_j I'(a - 1, b); if k = a, m = 1. So the shifts of the echelon
+    rows of I'(a - 1, b) by x'_2..x'_n and those generators span I'(a,
+    b), with no generator products.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -416,8 +408,9 @@ def conjecture_vs_msv(n: int, d: int, order: int = 6) -> ConjectureReport:
 
     The dimensions are `quotient_table`'s: the relations live on R' =
     Q[x'_2..x'_n, y_1..y_n], x'_j = x_j - x_1, the reduced dimensions at
-    x'-degrees a' <= a are summed into the one at x-degree a, and past
-    x-degree d each reduced slice is the previous one shifted by x'_2..x'_n.
+    x'-degrees a' <= a are summed into the one at x-degree a, and each
+    reduced slice is the previous one shifted by x'_2..x'_n plus the
+    generators of its x-degree.
     The slice at (N, M) is the ordinary slice (N - M/2, M/2), and empty at
     odd M. Table and mismatches are filled in (N, M) order.
     """

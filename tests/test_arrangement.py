@@ -18,6 +18,7 @@ from gkmslice.arrangement import (
     _window_dict,
     alternant,
     alternant_slice,
+    bigraded_ring,
     catalan_quotient,
     derivation_kernel,
     flag_pair_element,
@@ -34,7 +35,6 @@ from gkmslice.arrangement import (
     pair_ideal_slice,
     symbolic_power_oracle,
     vanishing_slice,
-    xy_grading,
     xy_ring,
 )
 from gkmslice.gkm import y_names
@@ -57,12 +57,13 @@ def xy_gens(n):
 
 
 def test_generated_slice_product_outside_basis():
-    # x * y leaves the basis {x^2}, which is an error
+    # x^2 tagged (1, 0) is multiplied by x and y into degree 3, outside
+    # the basis of degree (2, 0), which is an error
     rg = ring(["x", "y"])
     grading = grading_for(rg, {"x": (1, 0), "y": (1, 0)})
     x = MultiPoly.gen(rg, "x")
     with pytest.raises(KeyError):
-        _generated_slice(rg, grading, (2, 0), SliceBasis([(2, 0)]), [[(x, (1, 0))]])
+        _generated_slice(rg, grading, (2, 0), [[(x**2, (1, 0))]])
 
 
 def test_pair_slice_rank():
@@ -408,18 +409,6 @@ def test_freeness_small():
     assert report.stages_checked > 0
 
 
-def reduced_ring(n):
-    """The ring of the differences x'_j, y'_j (named x2..xn, y2..yn) and
-    its bigrading, as `_reduced_table` builds them."""
-    rg = ring([f"x{j}" for j in range(2, n + 1)] + [f"y{j}" for j in range(2, n + 1)])
-    return rg, grading_for(rg, {name: (1, 0) if name[0] == "x" else (0, 1) for name in rg.names})
-
-
-def generated(rg, grading, family, deg):
-    basis = SliceBasis(slice_monomials(rg, grading, deg))
-    return _generated_slice(rg, grading, deg, basis, [family])
-
-
 def full_ring_freeness(n, max_total, slice_at):
     """(failures, checks) of the regular-sequence check by y_1..y_n on
     full-ring slices, slice_at(deg) being the ideal's slice at deg: one
@@ -482,23 +471,62 @@ FAILING_IDEALS = {
 @pytest.mark.parametrize("name", list(FAILING_IDEALS))
 def test_reduced_freeness_failures_are_the_full_ring_failures(monkeypatch, name):
     generators, expected = FAILING_IDEALS[name]
-    rg, grading = reduced_ring(3)
+    rg, grading = bigraded_ring((2, 3), (2, 3))
     x = {j: MultiPoly.gen(rg, f"x{j}") for j in (2, 3)}
     y = {j: MultiPoly.gen(rg, f"y{j}") for j in (2, 3)}
-    table = {(a, b): generated(rg, grading, generators(x, y), (a, b))
+    table = {(a, b): _generated_slice(rg, grading, (a, b), [generators(x, y)])
              for a in range(7) for b in range(7 - a)}
     monkeypatch.setattr("gkmslice.arrangement._reduced_table", lambda n, d, top, method: table)
     report = freeness_check(3, 1, 5)
 
     full, xs, ys = xy_gens(3)
+    full_grading = bigraded_ring((1, 2, 3), (1, 2, 3))[1]
     family = generators(
         {j: xs[j - 1] - xs[0] for j in (2, 3)}, {j: ys[j - 1] - ys[0] for j in (2, 3)}
     )
     failures, checks = full_ring_freeness(
-        3, 5, lambda deg: generated(full, xy_grading(3), family, deg)
+        3, 5, lambda deg: _generated_slice(full, full_grading, deg, [family])
     )
     assert failures == expected
     assert (report.ok, report.failures, report.stages_checked) == (False, failures, checks)
+
+
+# Inputs outside the domain, each of which once returned a plausible
+# answer (or failed only inside itertools), with the message it raises.
+OUT_OF_DOMAIN = {
+    "pair-ideal-negative-d": (
+        lambda: pair_ideal_slice(2, (1, 2), -1, (1, 1)),
+        "power d must be >= 0, got -1",
+    ),
+    "vanishing-negative-d": (
+        lambda: vanishing_slice(2, -1, (1, 1)),
+        "power d must be >= 0, got -1",
+    ),
+    "oracle-negative-d": (
+        lambda: symbolic_power_oracle(MultiPoly.one(xy_ring(2)), 2, -1),
+        "power d must be >= 0, got -1",
+    ),
+    "jd-dimensions-negative-maxdeg": (
+        lambda: jd_dimensions(2, 1, -1, "spanning"),
+        "maxdeg must be >= 0, got -1",
+    ),
+    "jd-dimensions-unknown-method-at-d-0": (
+        lambda: jd_dimensions(3, 0, 2, "bogus"),
+        "unknown method 'bogus'",
+    ),
+    "alternant-negative-d": (
+        lambda: alternant_slice(2, -1, (1, 1)),
+        "power d must be >= 0, got -1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(OUT_OF_DOMAIN))
+def test_slices_reject_inputs_outside_the_domain(case):
+    call, message = OUT_OF_DOMAIN[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_full_slice_dimension():
@@ -683,12 +711,9 @@ def substituted_vanishing(rg, keys, pairs, d):
 @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_closed_form_vanishing_conditions_are_the_substituted_ones(n, reduced):
-    if reduced:
-        rg, grading = reduced_ring(n)
-        pairs = list(itertools.combinations(range(2, n + 1), 2))
-    else:
-        rg, grading = xy_ring(n), xy_grading(n)
-        pairs = list(itertools.combinations(range(1, n + 1), 2))
+    points = range(2 if reduced else 1, n + 1)
+    rg, grading = bigraded_ring(points, points)
+    pairs = list(itertools.combinations(points, 2))
     for d, total in itertools.product(range(1, 4), range(6)):
         for deg in ((a, total - a) for a in range(total + 1)):
             keys = slice_monomials(rg, grading, deg)
