@@ -491,8 +491,9 @@ def test_reduced_freeness_failures_are_the_full_ring_failures(monkeypatch, name)
     assert (report.ok, report.failures, report.stages_checked) == (False, failures, checks)
 
 
-# Inputs outside the domain, each of which once returned a plausible
-# answer (or failed only inside itertools), with the message it raises.
+# Inputs outside the domain of the type A slice functions, with the
+# message each raises; unchecked, each returns a plausible answer or
+# fails deep inside the computation.
 OUT_OF_DOMAIN = {
     "pair-ideal-negative-d": (
         lambda: pair_ideal_slice(2, (1, 2), -1, (1, 1)),
