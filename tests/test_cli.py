@@ -584,6 +584,14 @@ REPORT_DIGESTS = {
             "human": "0e9bee4ffc5fab737cde888c140879ddf0dbd0e302fe7b0a0052464d8c71f86a",
         },
     ),
+    "freeness --n 4 --d 2 --maxdeg 10": (
+        0,
+        {"json": "86acaaebdca0b1fce54b1b81b420278a7b3604cf4098f3fe2b0dc1ce87548f62"},
+    ),
+    "freeness --n 4 --d 2 --maxdeg 10 --method vanishing": (
+        0,
+        {"json": "86acaaebdca0b1fce54b1b81b420278a7b3604cf4098f3fe2b0dc1ce87548f62"},
+    ),
     "freeness --n 2 --d 0 --maxdeg 3": (
         0,
         {
