@@ -8,8 +8,9 @@ check for the y variables. Every pair ideal is generated in the
 differences x_j - x_1, y_j - y_1, so `jd-series`, `catalan` and `freeness`
 read one table of slices on the ring of those 2(n - 1) differences
 (`_reduced_table`): `jd_dimensions` sums its ranks, `catalan_quotient` and
-`freeness_check` shift its rows. `jd_slice`, `vanishing_slice`,
-`full_slice` and `alternant_slice` stay on the full ring as the reference.
+`freeness_check` rank its shifted rows (`_shift_ranks`). `jd_slice`,
+`vanishing_slice`, `full_slice` and `alternant_slice` stay on the full ring
+as the reference.
 
 Lattice side: the group algebra Q[Lambda] tensor Q[y] (x variables
 Laurent) with per-root ideals (y_alpha, 1 - x^coroot)^d, the homology
@@ -189,6 +190,27 @@ def _shift_rows(src: SliceResult, dst: SliceResult, var: str) -> Iterable[Row]:
             exp[vi] += 1
             shifted[dst.basis.index[tuple(exp)]] = c
         yield shifted
+
+
+def _shift_ranks(
+    slices: Mapping[tuple[int, int], SliceResult], deg: tuple[int, int], shifts: Iterable
+) -> list[int]:
+    """The rank inside slices[deg] of the shifted rows so far, after each (src,
+    var) of shifts: the echelon rows of slices[src] times var, none when src is
+    outside the table. slices is the slice table of one ideal, so every shifted
+    row lies in the span of slices[deg]'s echelon rows. Each of those starts at
+    its own pivot, so on the pivot columns they are triangular with a nonzero
+    diagonal, and a vector in their span is fixed by its entries there. So the
+    ranks are taken on the pivot columns alone."""
+    dst = slices[deg]
+    coord = {p: i for i, p in enumerate(dst.space.pivots)}
+    image, ranks = Subspace(len(coord)), []
+    for src, var in shifts:
+        if src in slices and image.rank < len(coord):
+            for row in _shift_rows(slices[src], dst, var):
+                image._add({coord[j]: c for j, c in row.items() if j in coord})
+        ranks.append(image.rank)
+    return ranks
 
 
 # ---- pair ideals and their intersection (polynomial, graded) ----
@@ -479,26 +501,16 @@ def catalan_quotient(n: int, method: str = "spanning") -> CatalanReport:
     degree <= n(n-1)/2, and the first diagonal past the top is computed
     and checked to vanish. It is read off `_reduced_table` as J' / (x',
     y') J': at each bidegree, the rank of the slice of J' less that of
-    the shifts of the slices below it by x'_2..x'_n and y'_2..y'_n.
+    the shifts of the slices below it by x'_2..x'_n and y'_2..y'_n
+    (`_shift_ranks`).
     """
     top = n * (n - 1) // 2
     slices = _reduced_table(n, 1, top + 1, method)
     table: dict[tuple[int, int], int] = {}
     for (a, b), cur in slices.items():
-        if cur.rank == 0:
-            continue
-        sub = Subspace(len(cur.basis))
-        for (pa, pb), gen_name in (((a - 1, b), "x"), ((a, b - 1), "y")):
-            if pa < 0 or pb < 0:
-                continue
-            prev = slices[(pa, pb)]
-            for i in range(2, n + 1):
-                sub.extend(_shift_rows(prev, cur, f"{gen_name}{i}"))
-                if sub.rank == cur.rank:
-                    break
-            if sub.rank == cur.rank:
-                break
-        dim = cur.rank - sub.rank
+        shifts = [((a - 1, b), f"x{i}") for i in range(2, n + 1)]
+        shifts += [((a, b - 1), f"y{i}") for i in range(2, n + 1)]
+        dim = cur.rank - _shift_ranks(slices, (a, b), shifts)[-1]
         if dim:
             table[(a, b)] = dim
     boundary_zero = all(a + b <= top for a, b in table)
@@ -539,20 +551,16 @@ def freeness_check(n: int, d: int, max_total: int, method: str = "spanning") -> 
     stage k fails at (a, b) exactly when the reduced map fails at some
     (a', b) with a' <= a. With r_k(a, b) the rank of (y'_2..y'_k) J'(a,
     b-1) inside J'(a, b), one rank chain r_0 = r_1 = 0, r_2, .., r_n per
-    bidegree, the reduced map at (a, b) is injective when dim J'(a, b) -
+    bidegree from `_shift_ranks`, the reduced map at (a, b) is injective when dim J'(a, b) -
     r_{k-1}(a, b) = r_k(a, b+1) - r_{k-1}(a, b+1).
     """
     if max_total < 0:
         raise ValueError(f"max_total must be >= 0, got {max_total}")
     slices = _reduced_table(n, d, max_total + 1, method)
     chain: dict[tuple[int, int], list[int]] = {}  # (a, b) -> [r_0, ..., r_n]
-    for (a, b), dst in slices.items():
-        image, ranks = Subspace(len(dst.basis)), [0, 0]
-        for j in range(2, n + 1):
-            if b >= 1:
-                image.extend(_shift_rows(slices[(a, b - 1)], dst, f"y{j}"))
-            ranks.append(image.rank)
-        chain[(a, b)] = ranks
+    for a, b in slices:
+        shifts = [((a, b - 1), f"y{j}") for j in range(2, n + 1)]
+        chain[(a, b)] = [0, 0] + _shift_ranks(slices, (a, b), shifts)
 
     failed = set()
     for (a, b), here in chain.items():

@@ -54,17 +54,23 @@ QL_RING = ring(["q", "L"])
 QT_RING = ring(["q", "t"])
 KNOT_RING = ring(["Q", "T"])
 
+_ONE = MultiPoly.one(QL_RING)
+_Q = MultiPoly.gen(QL_RING, "q")
+_L = MultiPoly.gen(QL_RING, "L")
+
 
 def _poly(rg: Ring, terms: dict) -> MultiPoly:
     return MultiPoly(rg, {tuple(k): rat(v) for k, v in terms.items()})
 
 
+def _over(num: MultiPoly, power: int) -> RationalSeries:
+    """num / ((1-q)(1-qL))^power."""
+    return RationalSeries(num, ((_ONE - _Q, power), (_ONE - _Q * _L, power)))
+
+
 def line_series() -> RationalSeries:
     """Smooth line contribution qL / ((1-q)(1-qL))."""
-    one = MultiPoly.one(QL_RING)
-    q = MultiPoly.gen(QL_RING, "q")
-    L = MultiPoly.gen(QL_RING, "L")
-    return RationalSeries(q * L, ((one - q, 1), (one - q * L, 1)))
+    return _over(_Q * _L, 1)
 
 
 @dataclass(frozen=True)
@@ -99,24 +105,16 @@ def tacnode_spec() -> CurveSpec:
 
 def msv_assemble(spec: CurveSpec) -> RationalSeries:
     """Sum the decomposition contributions into one rational series."""
-    one = MultiPoly.one(QL_RING)
-    q = MultiPoly.gen(QL_RING, "q")
-    L = MultiPoly.gen(QL_RING, "L")
     total = RationalSeries.zero(QL_RING)
     line = line_series()
     for count, power in spec.broken:
         total = total + line**power * count
-    total = total + RationalSeries(spec.central, ((one - q, 1), (one - q * L, 1)))
-    return total
+    return total + _over(spec.central, 1)
 
 
 def node_series() -> RationalSeries:
     """(1 - q + q^2 L) / ((1-q)^2 (1-qL)^2)."""
-    one = MultiPoly.one(QL_RING)
-    q = MultiPoly.gen(QL_RING, "q")
-    L = MultiPoly.gen(QL_RING, "L")
-    num = _poly(QL_RING, {(0, 0): 1, (1, 0): -1, (2, 1): 1})
-    return RationalSeries(num, ((one - q, 2), (one - q * L, 2)))
+    return _over(_poly(QL_RING, {(0, 0): 1, (1, 0): -1, (2, 1): 1}), 2)
 
 
 def three_lines_closed_form() -> RationalSeries:
@@ -135,26 +133,16 @@ def three_lines_closed_form() -> RationalSeries:
             (0, 0): 1,
         },
     )
-    one = MultiPoly.one(QL_RING)
-    q = MultiPoly.gen(QL_RING, "q")
-    L = MultiPoly.gen(QL_RING, "L")
-    return RationalSeries(num, ((one - q, 3), (one - q * L, 3)))
+    return _over(num, 3)
 
 
 def tacnode_closed_form() -> RationalSeries:
-    num = _poly(QL_RING, {(4, 2): 1, (3, 1): -1, (2, 1): 1, (1, 0): -1, (0, 0): 1})
-    one = MultiPoly.one(QL_RING)
-    q = MultiPoly.gen(QL_RING, "q")
-    L = MultiPoly.gen(QL_RING, "L")
-    return RationalSeries(num, ((one - q, 2), (one - q * L, 2)))
+    return _over(_poly(QL_RING, {(4, 2): 1, (3, 1): -1, (2, 1): 1, (1, 0): -1, (0, 0): 1}), 2)
 
 
 def punctual_series(global_series: RationalSeries, r: int) -> RationalSeries:
     """Multiply by (1 - qL)^r to pass to the punctual (one-point) count."""
-    one = MultiPoly.one(QL_RING)
-    q = MultiPoly.gen(QL_RING, "q")
-    L = MultiPoly.gen(QL_RING, "L")
-    return global_series * RationalSeries((one - q * L) ** r)
+    return global_series * RationalSeries((_ONE - _Q * _L) ** r)
 
 
 PUNCTUAL_FACTOR = "(1-q*L)^r"
@@ -331,14 +319,16 @@ def _reduced_slices(n: int, d: int, order: int) -> Iterator[tuple[tuple[int, int
     by x'_2..x'_n, and the generators of x-degree a (see `quotient_table`)."""
     rg, grading = bigraded_ring(range(2, n + 1), range(1, n + 1))
     for b in range(order + 1):
-        family = _relation_family(rg, n, min(d, order - b), b)
+        by_k: dict[int, list[MultiPoly]] = {}  # x-degree -> generators, in family order
+        for g, (k, _) in _relation_family(rg, n, min(d, order - b), b):
+            by_k.setdefault(k, []).append(g)
         for a in range(order + 1 - b):
             basis = SliceBasis(slice_monomials(rg, grading, (a, b)))
             cur = SliceResult(basis, Subspace(len(basis)), rg)
             if a:
                 for j in range(2, n + 1):
                     cur.space.extend(_shift_rows(prev, cur, f"x{j}"))
-            cur.space.extend(basis.vector_from_poly(g) for g, (k, _) in family if k == a)
+            cur.space.extend(basis.vector_from_poly(g) for g in by_k.get(a, ()))
             yield (a, b), cur
             prev = cur
 

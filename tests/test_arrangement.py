@@ -13,6 +13,7 @@ from gkmslice.arrangement import (
     _reduced_table,
     _relation_generators,
     _root_families,
+    _shift_ranks,
     _shift_rows,
     _vanishing,
     _window_dict,
@@ -349,6 +350,33 @@ def test_alternant_is_antisymmetric():
         {"x1": xs[1], "x2": xs[0], "y1": ys[1], "y2": ys[0]}, rg
     )
     assert swapped == -a
+
+
+def full_basis_shift_ranks(slices, deg, shifts):
+    """`_shift_ranks` taken on every column of slices[deg]'s basis."""
+    dst = slices[deg]
+    image, ranks = Subspace(len(dst.basis)), []
+    for src, var in shifts:
+        if src in slices:
+            image.extend(_shift_rows(slices[src], dst, var))
+        ranks.append(image.rank)
+    return ranks
+
+
+@pytest.mark.parametrize("method", ["spanning", "vanishing"])
+@pytest.mark.parametrize(
+    "n,d,top",
+    [(2, 0, 10), (2, 1, 10), (2, 2, 10), (3, 0, 8), (3, 1, 10), (3, 2, 10),
+     (4, 0, 6), (4, 1, 8), (4, 2, 9)],
+)
+def test_pivot_shift_ranks_are_the_full_basis_ranks(n, d, top, method):
+    slices = _reduced_table(n, d, top, method)
+    for a, b in slices:
+        xs = [((a - 1, b), f"x{j}") for j in range(2, n + 1)]
+        ys = [((a, b - 1), f"y{j}") for j in range(2, n + 1)]
+        for shifts in (xs + ys, ys + xs, ys):
+            ranks = _shift_ranks(slices, (a, b), shifts)
+            assert ranks == full_basis_shift_ranks(slices, (a, b), shifts), ((a, b), shifts)
 
 
 def test_catalan_n2():

@@ -54,7 +54,6 @@ BENCHMARK = [path for path in SOURCES if path.is_relative_to(ROOT / "perfbench")
 # the reason each stays.
 TEST_SURFACE = {
     "gkm.class_to_json": "writes the class files that the gkm-verify --classes-file tests read",
-    "linalg.Subspace.pivots": "compared with the Fraction reference by the linalg property tests",
     "linalg.Subspace.reduce": "compared with the Fraction reference by the linalg property tests",
     "rootdata.mat_vec": "checks that the hand-typed _FIXED reflections permute the roots",
     "rootdata.weyl_elements": "checks the Weyl group orders of the hand-typed _FIXED tables",
