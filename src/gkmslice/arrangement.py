@@ -200,8 +200,8 @@ def _shift_ranks(
     outside the table. slices is the slice table of one ideal, so every shifted
     row lies in the span of slices[deg]'s echelon rows. Each of those starts at
     its own pivot, so on the pivot columns they are triangular with a nonzero
-    diagonal, and a vector in their span is fixed by its entries there. So the
-    ranks are taken on the pivot columns alone."""
+    diagonal, and a vector in their span is fixed by its entries there: dropping
+    the other columns keeps every rank."""
     dst = slices[deg]
     coord = {p: i for i, p in enumerate(dst.space.pivots)}
     image, ranks = Subspace(len(coord)), []
