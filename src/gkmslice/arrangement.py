@@ -676,8 +676,6 @@ def _lattice_steps(
         gens = []
         for gen, (gdeg, _) in family:
             rem = ydeg - gdeg
-            if rem < 0:
-                continue
             if rem not in ys:
                 ys[rem] = [e[rd.rank :] for e in slice_monomials(rg, grading, (rem, 0), pin)]
             gens.append((*_integer_terms(gen), ys[rem]))

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Any, Mapping, Sequence
 
 from .rationals import ONE, rat, rat_parts
@@ -148,23 +148,21 @@ def linear_coeffs(p: MultiPoly) -> tuple:
     return tuple(coeffs)
 
 
-def primitive_direction(p: MultiPoly) -> tuple[int, ...]:
-    """Integer direction vector of a linear form, first nonzero positive."""
-    coeffs = linear_coeffs(p)
-    den_lcm = 1
-    for c in coeffs:
-        den_lcm = den_lcm * rat_parts(c)[1] // gcd(den_lcm, rat_parts(c)[1])
-    ints = [int(c * den_lcm) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+def _direction(coeffs: Sequence) -> tuple[int, ...]:
+    """Primitive integer vector along a coefficient vector, first nonzero positive."""
+    scale = lcm(*(rat_parts(c)[1] for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero linear form has no direction")
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
+
+
+def primitive_direction(p: MultiPoly) -> tuple[int, ...]:
+    """Integer direction vector of a linear form, first nonzero positive."""
+    return _direction(linear_coeffs(p))
 
 
 Linear = tuple[tuple[int, ...], tuple]  # (primitive direction, coefficient vector)
@@ -172,7 +170,8 @@ Linear = tuple[tuple[int, ...], tuple]  # (primitive direction, coefficient vect
 
 def linear_data(p: MultiPoly) -> Linear:
     """Primitive direction and coefficient vector of a linear form."""
-    return primitive_direction(p), linear_coeffs(p)
+    coeffs = linear_coeffs(p)
+    return _direction(coeffs), coeffs
 
 
 Key = tuple[int, ...]  # primitive integer vector, first nonzero entry positive
@@ -457,9 +456,10 @@ def specialize_t0(cls: ClassTuple) -> MultiPoly:
                 raise ValueError(f"residual t pole at vertex {v}: {f}")
             scale = scale * y_part
             order += 1
-        num0 = form.num.specialize("t", 0)
+        rg = form.num.ring
+        num0 = form.num.substitute({"t": MultiPoly.zero(rg)}, rg)
         for exp, c in num0.terms.items():
-            ydeg = exp[num0.ring.index("y")]
+            ydeg = exp[rg.index("y")]
             key = (v[0], ydeg - order)
             total = total + MultiPoly.monomial(out_ring, key, c / scale)
     return total
@@ -567,11 +567,20 @@ def class_to_json(cls: ClassTuple) -> dict:
     return {"entries": entries}
 
 
-def class_from_json(obj: Mapping, rg: Ring) -> ClassTuple:
+def class_from_json(obj: Any, rg: Ring) -> ClassTuple:
+    """Inverse of class_to_json; ValueError names what does not fit its layout."""
+    if not isinstance(obj, Mapping) or not isinstance(obj.get("entries"), list):
+        raise ValueError("class JSON must be an object with an 'entries' list")
     cls: ClassTuple = {}
-    for entry in obj["entries"]:
+    for i, entry in enumerate(obj["entries"]):
+        if not isinstance(entry, Mapping) or not {"vertex", "num", "den"} <= entry.keys():
+            raise ValueError(f"class JSON entry {i} needs 'vertex', 'num' and 'den'")
         raw = entry["vertex"]
-        v = tuple(x if isinstance(x, str) else int(x) for x in raw)
+        if not isinstance(raw, list) or not all(isinstance(x, (int, str)) for x in raw):
+            raise ValueError(f"class JSON entry {i}: 'vertex' must be a list of integers or names")
+        if not isinstance(entry["den"], list):
+            raise ValueError(f"class JSON entry {i}: 'den' must be a list")
+        v = tuple(raw)
         num = poly_from_json(entry["num"], rg)
         den = tuple(poly_from_json(f, rg) for f in entry["den"])
         cls[v] = LocalForm(num, den)

@@ -6,6 +6,11 @@ carry negative exponents. The canonical monomial order is graded
 lexicographic: key = (sum of exponents, exponent tuple). All coefficient
 arithmetic is exact (see rationals).
 
+Variables are mapped by one routine, MultiPoly.substitute, which replaces
+each variable by a polynomial image in a target ring (a monomial map or
+setting a variable to a constant is a special case). A source term with
+a negative exponent is rejected, as a negative power is.
+
 Graded slices are enumerated by slice_monomials: polynomial variables are
 bounded through their grading weights, Laurent variables through explicit
 support windows.
@@ -225,22 +230,6 @@ class MultiPoly:
 
     # ---- substitution ----
 
-    def map_exponents(self, matrix: Sequence[Sequence[int]], target: Ring) -> "MultiPoly":
-        """Monomial substitution exp -> matrix @ exp into the target ring.
-
-        Coefficients are untouched. The matrix rows index target variables,
-        columns index source variables.
-        """
-        out: dict[Exp, object] = {}
-        for exp, c in self.terms.items():
-            new = tuple(sum(row[j] * exp[j] for j in range(len(exp))) for row in matrix)
-            s = out.get(new, ZERO) + c
-            if s == 0:
-                out.pop(new, None)
-            else:
-                out[new] = s
-        return MultiPoly(target, out)
-
     def substitute(self, images: Mapping[str, "MultiPoly"], target: Ring) -> "MultiPoly":
         """Replace variables by polynomial images.
 
@@ -265,24 +254,6 @@ class MultiPoly:
                 term = term * img[i] ** e
             result = result + term
         return result
-
-    def specialize(self, name: str, value) -> "MultiPoly":
-        """Substitute one variable by a constant, staying in the same ring."""
-        i = self.ring.index(name)
-        v = rat(value)
-        out: dict[Exp, object] = {}
-        for exp, c in self.terms.items():
-            e = exp[i]
-            coeff = c * v**e if e else c
-            if coeff == 0:
-                continue
-            new = exp[:i] + (0,) + exp[i + 1 :]
-            s = out.get(new, ZERO) + coeff
-            if s == 0:
-                out.pop(new, None)
-            else:
-                out[new] = s
-        return MultiPoly(self.ring, out, _clean=True)
 
     def derivative(self, name: str) -> "MultiPoly":
         i = self.ring.index(name)
@@ -458,16 +429,24 @@ def poly_to_json(p: MultiPoly) -> dict:
     return {"vars": list(p.ring.names), "terms": terms}
 
 
-def poly_from_json(obj: Mapping, rg: Ring) -> MultiPoly:
-    if list(obj.get("vars", [])) != list(rg.names):
+def poly_from_json(obj: object, rg: Ring) -> MultiPoly:
+    """Inverse of poly_to_json; ValueError names what does not fit its layout."""
+    if not isinstance(obj, Mapping) or not isinstance(obj.get("terms"), list):
+        raise ValueError("polynomial JSON must be an object with a 'terms' list")
+    if obj.get("vars") != list(rg.names):
         raise ValueError(f"variable mismatch: {obj.get('vars')} vs {rg.names}")
     terms: dict[Exp, object] = {}
     for t in obj["terms"]:
-        exp = tuple(int(e) for e in t["exp"])
-        den = int(t["den"])
+        if not (
+            isinstance(t, Mapping)
+            and isinstance(t.get("exp"), list)
+            and all(isinstance(x, int) for x in (*t["exp"], t.get("num"), t.get("den")))
+        ):
+            raise ValueError(f"polynomial JSON term {t} needs integer 'exp', 'num' and 'den'")
+        exp, den = tuple(t["exp"]), t["den"]
         if den == 0:
             raise ValueError("zero denominator in polynomial JSON")
-        c = rat(int(t["num"]), den)
+        c = rat(t["num"], den)
         if exp in terms:
             raise ValueError(f"duplicate exponent {exp} in polynomial JSON")
         terms[exp] = c

@@ -100,23 +100,8 @@ def identity_mat(n: int) -> IntMat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def det(a: IntMat) -> int:
-    n = len(a)
-    if n == 0:
-        return 1
-    if n == 1:
-        return a[0][0]
-    total = 0
-    for j in range(n):
-        if a[0][j] == 0:
-            continue
-        minor = tuple(row[:j] + row[j + 1 :] for row in a[1:])
-        total += (-1) ** j * a[0][j] * det(minor)
-    return total
-
-
-def weyl_elements(rd: RootDatum) -> list[tuple[IntMat, IntMat, int]]:
-    """Full Weyl group as (lattice matrix, root-side matrix, sign) triples.
+def weyl_elements(rd: RootDatum) -> list[tuple[IntMat, IntMat]]:
+    """Full Weyl group as (lattice matrix, root-side matrix) pairs.
 
     Closure under all positive-root reflections; deterministic order
     (breadth first from the identity, children by root index).
@@ -125,7 +110,7 @@ def weyl_elements(rd: RootDatum) -> list[tuple[IntMat, IntMat, int]]:
         (rd.reflection_on_lattice(i), rd.reflection_on_roots(i)) for i in range(rd.npos)
     ]
     ident = (identity_mat(rd.rank), identity_mat(rd.yrank))
-    seen = {ident[0]: ident}
+    seen = {ident[0]}
     queue = [ident]
     order = [ident]
     while queue:
@@ -134,11 +119,11 @@ def weyl_elements(rd: RootDatum) -> list[tuple[IntMat, IntMat, int]]:
             for glat, gy in gens:
                 cand = (mat_mul(glat, lat), mat_mul(gy, yy))
                 if cand[0] not in seen:
-                    seen[cand[0]] = cand
+                    seen.add(cand[0])
                     nxt.append(cand)
                     order.append(cand)
         queue = nxt
-    return [(lat, yy, det(lat)) for lat, yy in order]
+    return order
 
 
 def _gl(n: int) -> RootDatum:

@@ -234,50 +234,43 @@ class RationalSeries:
     def map_monomials(self, matrix: Sequence[Sequence[int]], target: Ring) -> "RationalSeries":
         """Exponent-linear substitution, clearing negative exponents.
 
-        Monomials map by exp -> matrix @ exp; any negative exponents this
-        creates are cleared by multiplying numerator and denominator with
-        a common monomial, so the result lives in the (non-Laurent)
-        target ring with a possible monomial denominator factor.
+        Source variable j is replaced by the monomial whose exponents are
+        column j of the matrix (rows index target variables), so monomials
+        map by exp -> matrix @ exp, in a Laurent copy of the target ring.
+        The series must be polynomial in its source variables: substitute
+        rejects a negative source exponent. Each mapped polynomial is then
+        multiplied by the least monomial that clears its negative
+        exponents, and the net monomial these multipliers leave is put back
+        into the numerator, or as a monomial denominator factor, so the
+        result lives in the (non-Laurent) target ring.
         """
         scratch = Ring(target.names, (True,) * target.nvars)
-        num = self.num.map_exponents(matrix, scratch)
-        mapped = [(f.map_exponents(matrix, scratch), m) for f, m in self.factors]
+        images = {
+            name: MultiPoly.monomial(scratch, tuple(row[j] for row in matrix))
+            for j, name in enumerate(self.ring.names)
+        }
 
-        def min_exp(p: MultiPoly):
-            return tuple(min(e[i] for e in p.terms) for i in range(p.ring.nvars))
+        def cleared(p: MultiPoly) -> tuple[MultiPoly, list[int]]:
+            """p's image times x^lift, in the target ring, and lift."""
+            p = p.substitute(images, scratch)
+            lift = [max([0] + [-e[i] for e in p.terms]) for i in range(target.nvars)]
+            return MultiPoly(target, (p * MultiPoly.monomial(scratch, lift)).terms), lift
 
-        def shift(p: MultiPoly, delta) -> MultiPoly:
-            return MultiPoly(
-                p.ring,
-                {tuple(a - b for a, b in zip(e, delta)): c for e, c in p.terms.items()},
-                _clean=True,
-            )
-
-        total = [0] * target.nvars
-        out_factors = []
-        for f, m in mapped:
-            mu = [min(x, 0) for x in min_exp(f)]
-            if any(mu):
-                f = shift(f, mu)
-                total = [t + m * x for t, x in zip(total, mu)]
-            out_factors.append((MultiPoly(target, f.terms), m))
-        if not num.is_zero():
-            nu = [min(x, 0) for x in min_exp(num)]
-        else:
-            nu = [0] * target.nvars
-        if any(nu):
-            num = shift(num, nu)
-        # net monomial x^(nu - total): nonneg part multiplies the numerator,
-        # negative part becomes a monomial denominator factor
-        delta = [a - b for a, b in zip(nu, total)]
-        up = tuple(max(d, 0) for d in delta)
-        down = tuple(-min(d, 0) for d in delta)
-        num = MultiPoly(target, num.terms)
+        num, net = cleared(self.num)
+        factors = []
+        for f, m in self.factors:
+            f, lift = cleared(f)
+            factors.append((f, m))
+            net = [n - m * x for n, x in zip(net, lift)]
+        # the series is num / prod f^m times x^(-net): the negative part of
+        # net multiplies the numerator, its positive part is a factor
+        up = tuple(max(-n, 0) for n in net)
+        down = tuple(max(n, 0) for n in net)
         if any(up):
             num = num * MultiPoly.monomial(target, up)
         if any(down):
-            out_factors.append((MultiPoly.monomial(target, down), 1))
-        return RationalSeries(num, out_factors)
+            factors.append((MultiPoly.monomial(target, down), 1))
+        return RationalSeries(num, factors)
 
 
 def equal_up_to_monomial(a: RationalSeries, b: RationalSeries, var: str) -> int | None:

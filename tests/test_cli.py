@@ -57,6 +57,32 @@ def test_gkm_verify_perturbed_class_exits_one(capsys, tmp_path):
     assert payload["failures"]
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"foo": 1}',
+        '{"entries": [{"vertex": [0]}]}',
+        "[1, 2]",
+        '{"entries": [{"vertex": 5, "num": {}, "den": []}]}',
+        '{"entries": [{"vertex": [0], "num": 5, "den": []}]}',
+        '{"entries": [{"vertex": [0], "den": [],'
+        ' "num": {"vars": ["y", "t"], "terms": [{"exp": [0]}]}}]}',
+        '{"entries": [{"vertex": [0], "den": [],'
+        ' "num": {"vars": ["y", "t"], "terms": [{"exp": [0, 0], "num": 1.5, "den": 1}]}}]}',
+    ],
+    ids=["no-entries", "entry-without-num", "list", "integer-vertex", "integer-num",
+         "term-without-den", "fractional-coefficient"],
+)
+def test_gkm_verify_malformed_classes_file_exits_64(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code = cli.main(["gkm-verify", "--group", "SL2", "--classes-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert captured.err.startswith("gkmslice: error: ")
+
+
 def test_compare_knot(capsys):
     code, out = run_cli(capsys, ["compare-knot", "--link", "T33"])
     assert code == 0
@@ -80,6 +106,28 @@ def test_conjecture_check(capsys):
     payload = json.loads(out)
     assert payload["status"] == "PASS"
     assert payload["table"]["2,2"] == 3
+
+
+def test_conjecture_check_reports_the_first_mismatch(capsys, monkeypatch):
+    real = curves.quotient_table
+
+    def off_by_one(n, d, order):
+        table = real(n, d, order)
+        table[(2, 2)] += 1
+        return table
+
+    monkeypatch.setattr(curves, "quotient_table", off_by_one)
+    argv = ["conjecture-check", "--n", "2", "--d", "1", "--order", "3"]
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "MISMATCH"
+    assert payload["first_mismatch"] == {
+        "bidegree": [2, 2], "series_coefficient": "3", "quotient_dim": 4
+    }
+    code, out = run_cli(capsys, [*argv, "--format", "human"])
+    assert code == 1
+    assert out.startswith("MISMATCH at [2, 2]: (2,1) vs node")
 
 
 def test_flag_rank1(capsys):

@@ -72,11 +72,11 @@ def test_substitute_into_laurent_monomial():
     assert MultiPoly.monomial(LXY, (2, 0)).substitute({"x": y}, LXY) == y * y
 
 
-def test_map_exponents_mixes_variables():
-    x, y = gens(LXY)
-    # q^a L^b -> Q^(a-b) T^(-b) on exponents
+def test_substitute_monomial_images_mix_variables():
+    # q^a L^b -> Q^(a-b) T^(-b): q -> Q and L -> Q^-1 T^-1, into the Laurent ring
+    images = {"x": MultiPoly.monomial(LXY, (1, 0)), "y": MultiPoly.monomial(LXY, (-1, -1))}
     p = MultiPoly.monomial(LXY, (2, 1))
-    assert p.map_exponents([[1, -1], [0, -1]], LXY) == MultiPoly.monomial(LXY, (1, -1))
+    assert p.substitute(images, LXY) == MultiPoly.monomial(LXY, (1, -1))
 
 
 def test_derivative_basic():
